@@ -14,7 +14,12 @@ orders.  Products expand eagerly through the multiplication formula
     I_n(f) I_m(g) = sum_r r! C(n,r) C(m,r) I_{n+m-2r}(sym(f (x)_r g))
 
 and expectations read off the order-0 term, since all higher orders are
-centered and mutually orthogonal.
+centered and mutually orthogonal.  The expectation of a product needs
+only that order-0 term, which is the isometry
+
+    E[X Y] = sum_k k! <X_k, Y_k>,
+
+so :func:`expectation_of_product` reads it without expanding the product.
 
 Sampling uses the counter-based Philox generator keyed by
 (seed, stream index), so a sample is determined by its coordinates
@@ -38,6 +43,7 @@ from .tensors import (
     Number,
     SymTensor,
     contract,
+    inner,
     symmetrize,
     tensor_from_dict,
     tensor_to_dict,
@@ -257,6 +263,24 @@ def product(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
 
 def expectation(x: ChaosExpansion) -> Number:
     return x.expectation()
+
+
+def expectation_of_product(x: ChaosExpansion, y: ChaosExpansion) -> Number:
+    """E[X Y] by the Wiener-Ito isometry: sum_k k! <x_k, y_k>.
+
+    Equals ``product(x, y).expectation()``, the r = n = m term of the
+    multiplication formula, without building the higher orders.
+    """
+    if not isinstance(x, ChaosExpansion) or not isinstance(y, ChaosExpansion):
+        raise TypeError("expectation_of_product expects ChaosExpansion arguments")
+    if x.dim != y.dim:
+        raise ValueError(f"dim mismatch: {x.dim} vs {y.dim}")
+    total: Number = 0
+    for k, f in x.terms.items():
+        g = y.terms.get(k)
+        if g is not None:
+            total += math.factorial(k) * inner(f, g)
+    return total
 
 
 def moment_mc(

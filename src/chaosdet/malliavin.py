@@ -48,9 +48,15 @@ from .tensors import Number, SymTensor, contract, inner, symmetrize
 
 
 class ChaosPair:
-    """An ordered pair of symmetric tensors over the same basis."""
+    """An ordered pair of symmetric tensors over the same basis.
 
-    __slots__ = ("f", "g", "dim", "n", "m", "_slices_f", "_slices_g")
+    The pair caches what the closed-form routes derive from it: the
+    derivative slices, each T_k and the contraction norms, so every
+    closed-form quantity is computed once per pair.  The chaos-product
+    oracle in :mod:`chaosdet.verify` reads only the slices.
+    """
+
+    __slots__ = ("f", "g", "dim", "n", "m", "_slices_f", "_slices_g", "_memo")
 
     def __init__(self, f: SymTensor, g: SymTensor):
         if f.dim != g.dim:
@@ -64,6 +70,7 @@ class ChaosPair:
         self.m = g.order
         self._slices_f: Optional[list[SymTensor]] = None
         self._slices_g: Optional[list[SymTensor]] = None
+        self._memo: dict = {}
 
     @property
     def slices_f(self) -> list[SymTensor]:
@@ -124,6 +131,9 @@ def term_T_k(pair: ChaosPair, k: int) -> Number:
     kmax = min(n, m) - 1
     if not 0 <= k <= kmax:
         raise ValueError(f"k={k} out of range 0..{kmax}")
+    key = ("T", k)
+    if key in pair._memo:
+        return pair._memo[key]
     sf, sg = pair.slices_f, pair.slices_g
     # The (i, l) summand is symmetric and vanishes on the diagonal, so the
     # half-sum over ordered pairs equals the plain sum over i < l.
@@ -139,7 +149,8 @@ def term_T_k(pair: ChaosPair, k: int) -> Number:
         * math.comb(n - 1, k) ** 2
         * math.factorial(m + n - 2 - 2 * k)
     )
-    return prefactor * total
+    pair._memo[key] = value = prefactor * total
+    return value
 
 
 def t_terms(pair: ChaosPair) -> list[Number]:
@@ -164,9 +175,12 @@ def r_term(pair: ChaosPair) -> Number:
 
 def contraction_norms_sq(pair: ChaosPair) -> list[Number]:
     """Squared block norms |f (x)_r g|^2 for r = 0..min(n, m)."""
-    return [
-        contract(pair.f, pair.g, r).norm_sq() for r in range(min(pair.n, pair.m) + 1)
-    ]
+    norms = pair._memo.get("norms")
+    if norms is None:
+        norms = pair._memo["norms"] = tuple(
+            contract(pair.f, pair.g, r).norm_sq() for r in range(min(pair.n, pair.m) + 1)
+        )
+    return list(norms)
 
 
 def t0_contraction(pair: ChaosPair) -> Number:
@@ -262,7 +276,7 @@ def density_verdict(pair: ChaosPair, tol: float = 1e-10) -> DensityVerdict:
 
     det C and E det L vanish together in this range; both indicators are
     tested at a scale-invariant relative threshold and the verdict is
-    Undecided if they disagree.
+    Undecided if they disagree or if either is not finite.
     """
     if pair.n != pair.m:
         raise ValueError("density verdict requires equal chaos orders")
@@ -273,8 +287,11 @@ def density_verdict(pair: ChaosPair, tol: float = 1e-10) -> DensityVerdict:
         math.factorial(n) * math.factorial(m) * pair.f.norm_sq() * pair.g.norm_sq()
     )
     _, det_c = covariance(pair)
-    det_c_zero = float(det_c) <= tol * scale
+    det_c = float(det_c)
     edet = float(edet_closed(pair))
+    if not all(math.isfinite(x) for x in (scale, det_c, edet)):
+        return DensityVerdict.UNDECIDED
+    det_c_zero = det_c <= tol * scale
     edet_zero = edet <= tol * (n * m * scale)
     if det_c_zero and edet_zero:
         return DensityVerdict.NO_DENSITY_PROPORTIONAL

@@ -55,6 +55,12 @@ def _as_occ(key: OccKey, dim: int, order: int) -> tuple[int, ...]:
     return occ
 
 
+def _check_finite(occ, value: Number) -> None:
+    # int and Fraction are always finite; math.isfinite would overflow on huge ones
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise ValueError(f"coefficient at {occ} is not finite: {value!r}")
+
+
 class SymTensor:
     """Fully symmetric tensor of a fixed order over a d-dimensional basis."""
 
@@ -71,9 +77,24 @@ class SymTensor:
         if coeffs:
             for key, value in coeffs.items():
                 occ = _as_occ(key, self.dim, self.order)
+                _check_finite(occ, value)
                 if value != 0:
                     data[occ] = value
         self._coeffs = data
+
+    @classmethod
+    def _trusted(cls, dim: int, order: int, data: dict) -> "SymTensor":
+        """Wrap coefficients computed from valid tensors, skipping key checks.
+
+        Only for results of operations on already validated tensors:
+        keys must be occupations of (dim, order).  Zeros are still
+        dropped, so storage matches the validating constructor.
+        """
+        t = cls.__new__(cls)
+        t.dim = dim
+        t.order = order
+        t._coeffs = {occ: v for occ, v in data.items() if v != 0}
+        return t
 
     @property
     def coeffs(self) -> Mapping[tuple[int, ...], Number]:
@@ -164,7 +185,7 @@ class SymTensor:
         data = dict(self._coeffs)
         for occ, v in other._coeffs.items():
             data[occ] = data.get(occ, 0) + v
-        return SymTensor(self.dim, self.order, data)
+        return SymTensor._trusted(self.dim, self.order, data)
 
     def __sub__(self, other: "SymTensor") -> "SymTensor":
         return self + (-other)
@@ -173,7 +194,9 @@ class SymTensor:
         return self.scale(-1)
 
     def scale(self, c: Number) -> "SymTensor":
-        return SymTensor(self.dim, self.order, {occ: c * v for occ, v in self._coeffs.items()})
+        return SymTensor._trusted(
+            self.dim, self.order, {occ: c * v for occ, v in self._coeffs.items()}
+        )
 
     def __mul__(self, c: Number) -> "SymTensor":
         return self.scale(c)
@@ -210,7 +233,7 @@ class SymTensor:
             if occ[i] >= 1:
                 low = occ[:i] + (occ[i] - 1,) + occ[i + 1 :]
                 data[low] = self.order * v
-        return SymTensor(self.dim, self.order - 1, data)
+        return SymTensor._trusted(self.dim, self.order - 1, data)
 
 
 class BiSymTensor:
@@ -243,9 +266,22 @@ class BiSymTensor:
             for (left, right), value in coeffs.items():
                 lo = _as_occ(left, self.dim, self.left_order)
                 ro = _as_occ(right, self.dim, self.right_order)
+                _check_finite((lo, ro), value)
                 if value != 0:
                     data[lo, ro] = value
         self._coeffs = data
+
+    @classmethod
+    def _trusted(
+        cls, dim: int, left_order: int, right_order: int, data: dict
+    ) -> "BiSymTensor":
+        """Block counterpart of :meth:`SymTensor._trusted`; drops zeros."""
+        t = cls.__new__(cls)
+        t.dim = dim
+        t.left_order = left_order
+        t.right_order = right_order
+        t._coeffs = {key: v for key, v in data.items() if v != 0}
+        return t
 
     @property
     def coeffs(self):
@@ -282,13 +318,13 @@ class BiSymTensor:
         data = dict(self._coeffs)
         for key, v in other._coeffs.items():
             data[key] = data.get(key, 0) + v
-        return BiSymTensor(self.dim, self.left_order, self.right_order, data)
+        return BiSymTensor._trusted(self.dim, self.left_order, self.right_order, data)
 
     def __sub__(self, other: "BiSymTensor") -> "BiSymTensor":
         return self + other.scale(-1)
 
     def scale(self, c: Number) -> "BiSymTensor":
-        return BiSymTensor(
+        return BiSymTensor._trusted(
             self.dim,
             self.left_order,
             self.right_order,
@@ -321,7 +357,7 @@ class BiSymTensor:
         data = {
             (a if self.right_order == 0 else b): v for (a, b), v in self._coeffs.items()
         }
-        return SymTensor(self.dim, self.left_order + self.right_order, data)
+        return SymTensor._trusted(self.dim, self.left_order + self.right_order, data)
 
     def as_scalar(self) -> Number:
         """Value of a fully contracted (0, 0) result."""
@@ -400,7 +436,7 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> BiSymTensor:
             for right, gv in gitems:
                 key = (left, right)
                 data[key] = data.get(key, 0) + wf * gv
-    return BiSymTensor(f.dim, f.order - r, g.order - r, data)
+    return BiSymTensor._trusted(f.dim, f.order - r, g.order - r, data)
 
 
 def symmetrize(t: BiSymTensor) -> SymTensor:
@@ -427,7 +463,7 @@ def symmetrize(t: BiSymTensor) -> SymTensor:
         else:
             contrib = v * Fraction(w, total_splits)
         data[occ] = data.get(occ, 0) + contrib
-    return SymTensor(t.dim, p + q, data)
+    return SymTensor._trusted(t.dim, p + q, data)
 
 
 def max_coeff_diff(a, b) -> float:

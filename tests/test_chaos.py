@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chaosdet.chaos import (
     ChaosExpansion,
@@ -12,6 +13,7 @@ from chaosdet.chaos import (
     expansion_from_dict,
     expansion_to_dict,
     expectation,
+    expectation_of_product,
     hermite,
     load_expansion,
     moment_mc,
@@ -142,6 +144,31 @@ class TestExpectation:
         p = product(ChaosExpansion.of(f), ChaosExpansion.of(g))
         assert 0 not in p.orders()
         assert expectation(p) == 0
+
+
+@st.composite
+def int_expansions(draw, dim):
+    """Mixed-order expansions with integer coefficients, orders 0..3."""
+    orders = draw(st.sets(st.integers(0, 3), max_size=3))
+    return ChaosExpansion(
+        dim,
+        {k: random_sym_tensor(draw(st.integers(0, 10_000)), dim, k, dist="int") for k in orders},
+    )
+
+
+class TestExpectationOfProduct:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=3))
+    def test_equals_order_zero_of_product(self, data, dim):
+        x = data.draw(int_expansions(dim))
+        y = data.draw(int_expansions(dim))
+        assert expectation_of_product(x, y) == product(x, y).expectation()
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ValueError):
+            expectation_of_product(ChaosExpansion.constant(2, 1), ChaosExpansion.constant(3, 1))
+        with pytest.raises(TypeError):
+            expectation_of_product(ChaosExpansion.constant(2, 1), 1)
 
 
 class TestSampling:

@@ -6,7 +6,7 @@ import pytest
 
 from chaosdet.cli import main
 from chaosdet.multiindex import num_occupations
-from chaosdet.tensors import load_tensor, random_unit_tensor, save_tensor
+from chaosdet.tensors import load_tensor, random_unit_tensor, save_tensor, tensor_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +174,18 @@ class TestDensity:
         record = json.loads(out)
         assert record["quantities"]["verdict"] == "Undecided"
         assert record["warnings"]
+
+    def test_non_finite_coefficient_is_an_error(self, tmp_path, capsys):
+        obj = tensor_to_dict(random_unit_tensor(2, 2, 2))
+        obj["entries"][0]["coeff"] = float("nan")
+        fp, gp = tmp_path / "f.json", tmp_path / "g.json"
+        fp.write_text(json.dumps(obj))
+        save_tensor(random_unit_tensor(3, 2, 2), gp)
+        code = main(["density", str(fp), str(gp)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "not finite" in captured.err
+        assert captured.out == ""
 
     def test_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "verdict.json"

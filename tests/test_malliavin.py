@@ -2,13 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chaosdet import malliavin
 from chaosdet.chaos import ChaosExpansion, GaussianSample, expectation, product, sample
 from chaosdet.malliavin import (
     ChaosPair,
     DensityVerdict,
     build_report,
     contraction_inequality_sum,
+    contraction_norms_sq,
     covariance,
     density_verdict,
     det_lambda_at,
@@ -17,8 +20,10 @@ from chaosdet.malliavin import (
     edet_theorem,
     malliavin_slices,
     order_one_criterion,
+    r_term,
     t0_contraction,
     t_last_closed,
+    t_terms,
     term_T_k,
 )
 from chaosdet.tensors import (
@@ -153,6 +158,47 @@ class TestTermTk:
         pair = unit_pair(5, 3, 2, 2)
         total = term_T_k(pair, 0) + term_T_k(pair, 1)
         assert total == pytest.approx(oracle_edet(pair), rel=1e-8)
+
+
+class TestOncePerPair:
+    def test_repeat_calls_reuse_the_first_computation(self, monkeypatch):
+        pair = unit_pair(3, 3, 3, 3)
+        terms = t_terms(pair)
+        norms = contraction_norms_sq(pair)
+        norms[0] = -1.0  # a caller's copy; the pair's values stay intact
+        values = (edet_closed(pair), edet_theorem(pair), edet_same_chaos(pair))
+
+        def no_contraction(*args):
+            raise AssertionError("recomputed a contraction")
+
+        monkeypatch.setattr(malliavin, "contract", no_contraction)
+        assert t_terms(pair) == terms
+        assert r_term(pair) == sum(terms[1:])
+        assert contraction_norms_sq(pair)[0] > 0
+        assert (edet_closed(pair), edet_theorem(pair), edet_same_chaos(pair)) == values
+        assert density_verdict(pair) is DensityVerdict.HAS_DENSITY
+
+    def test_range_still_checked(self):
+        pair = unit_pair(0, 2, 2, 2)
+        t_terms(pair)
+        with pytest.raises(ValueError):
+            term_T_k(pair, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=1, max_value=3),
+    m=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_exact_route_triangle(d, n, m, seed):
+    """Term sum, theorem form and oracle agree exactly; each on its own pair."""
+    f = random_sym_tensor(seed, d, n, dist="int")
+    g = random_sym_tensor(seed + 1, d, m, dist="int")
+    closed = edet_closed(ChaosPair(f, g))
+    assert isinstance(closed, (int, Fraction))
+    assert closed == edet_theorem(ChaosPair(f, g)) == oracle_edet(ChaosPair(f, g))
 
 
 class TestEdetRoutes:
@@ -309,6 +355,13 @@ class TestDensityVerdict:
         g = SymTensor.vector_power([1.0, 1.0], 4)
         g = g.scale(1.0 / g.norm())
         assert density_verdict(ChaosPair(f, g)) is DensityVerdict.HAS_DENSITY
+
+    def test_non_finite_indicators_undecided(self):
+        # finite coefficients whose squared norms overflow to inf
+        f = SymTensor(2, 2, {(2, 0): 1e200, (1, 1): 1e200})
+        g = SymTensor(2, 2, {(0, 2): 1e200})
+        assert not math.isfinite(covariance(ChaosPair(f, g))[1])
+        assert density_verdict(ChaosPair(f, g)) is DensityVerdict.UNDECIDED
 
     def test_scope_errors(self):
         with pytest.raises(ValueError):

@@ -251,6 +251,65 @@ def test_dense_oracle_equivalence(d, n, m, seed):
         )
 
 
+@st.composite
+def int_tensors(draw, dim, order):
+    """Small-integer tensors; zeros and cancellations are frequent."""
+    occs = list(occupations(dim, order))
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(occs), max_size=len(occs)))
+    return SymTensor(dim, order, dict(zip(occs, values)))
+
+
+def validated(t):
+    """Rebuild through the validating public constructor."""
+    if isinstance(t, SymTensor):
+        return SymTensor(t.dim, t.order, t.coeffs)
+    return BiSymTensor(t.dim, t.left_order, t.right_order, t.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(min_value=1, max_value=3),
+    n=st.integers(min_value=0, max_value=3),
+    m=st.integers(min_value=0, max_value=3),
+    c=st.integers(min_value=-2, max_value=2),
+)
+def test_internal_results_match_validated_rebuild(data, d, n, m, c):
+    """Results built without key checks equal their validated rebuild and store no zero."""
+    f = data.draw(int_tensors(d, n))
+    f2 = data.draw(int_tensors(d, n))
+    g = data.draw(int_tensors(d, m))
+    results = [f.scale(c), f + f2, f - f2, f + f.scale(-1)]
+    results += [f.slice(i) for i in range(d)] if n else []
+    for r in range(min(n, m) + 1):
+        block = contract(f, g, r)
+        results += [block, block.scale(c), block + contract(f2, g, r), symmetrize(block)]
+    results.append(contract(f, g, min(n, m)).as_sym())
+    for t in results:
+        assert t == validated(t)
+        assert all(v != 0 for _, v in t.items())
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float32("nan")])
+    def test_constructors_reject(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            SymTensor(2, 1, {(1, 0): 1.0, (0, 1): bad})
+        with pytest.raises(ValueError, match="not finite"):
+            BiSymTensor(2, 1, 0, {((1, 0), (0, 0)): bad})
+
+    def test_exact_values_accepted(self):
+        # int and Fraction are finite at any size, even past the float range
+        t = SymTensor(2, 1, {(1, 0): 10**400, (0, 1): Fraction(10**400, 3)})
+        assert t.get((0, 1)) == Fraction(10**400, 3)
+
+    def test_loader_rejects_nan(self):
+        obj = tensor_to_dict(random_unit_tensor(0, 2, 2))
+        obj["entries"][1]["coeff"] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            tensor_from_dict(obj)
+
+
 class TestExactMode:
     def test_integer_tensors_stay_exact(self):
         f = random_sym_tensor(5, 2, 2, dist="int")

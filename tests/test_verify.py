@@ -1,9 +1,14 @@
+import math
+
 import pytest
 
+from chaosdet import malliavin, verify
 from chaosdet.malliavin import ChaosPair, covariance, edet_closed
 from chaosdet.tensors import (
+    BiSymTensor,
     SymTensor,
     contract,
+    inner,
     random_sym_tensor,
     random_unit_tensor,
     symmetrize,
@@ -61,6 +66,60 @@ class TestOracle:
             random_sym_tensor(1, 2, 2, dist="int"),
         )
         assert oracle_edet(pair) == edet_closed(pair)
+
+    def test_reads_no_closed_form_value(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle used a closed-form route")
+
+        for module in (malliavin, verify):
+            for name in ("term_T_k", "t0_contraction", "contraction_norms_sq"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        pair = ChaosPair(
+            random_sym_tensor(0, 2, 3, dist="int"),
+            random_sym_tensor(1, 2, 3, dist="int"),
+        )
+        value = oracle_edet(pair)
+        assert pair._memo == {}
+        monkeypatch.undo()
+        assert value == edet_closed(ChaosPair(pair.f, pair.g))
+
+
+class TestSymOuterInnerScale:
+    # at this suite seed the contraction terms cancel to about 2e-8, and
+    # an error relative to that value alone exceeded the tolerance
+    SEED, D, N, M = 1512138076, 3, 4, 4
+
+    def test_cancelling_seed_passes(self):
+        res = check_sym_outer_inner(self.SEED, self.D, self.N, self.M)
+        assert res.passed, res.line()
+        assert abs(res.lhs) < 1e-7
+
+    def test_perturbation_relative_to_term_scale_fails(self, monkeypatch):
+        n, m = self.N, self.M
+        terms = []
+
+        def recording(a, b):
+            value = inner(a, b)
+            if isinstance(a, BiSymTensor):
+                terms.append(value)
+            return value
+
+        monkeypatch.setattr(verify, "inner", recording)
+        check_sym_outer_inner(self.SEED, self.D, n, m)
+        weight = math.factorial(n) * math.factorial(m) / math.factorial(n + m)
+        scale = weight * sum(
+            math.comb(n, r) * math.comb(m, r) * abs(v) for r, v in enumerate(terms)
+        )
+
+        def shifted(a, b):
+            value = inner(a, b)
+            return value + 1e-8 * scale if isinstance(a, SymTensor) else value
+
+        monkeypatch.setattr(verify, "inner", shifted)
+        res = check_sym_outer_inner(self.SEED, self.D, n, m)
+        assert not res.passed
+        assert res.rel_err == pytest.approx(1e-8, rel=1e-3)
 
 
 class TestCheckers:
