@@ -9,14 +9,12 @@ determinant and the equal-order joint-density verdict.
 
 __version__ = "0.1.0"
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .chaos import (
     ChaosExpansion,
     GaussianSample,
     eval_integral,
     expectation,
     hermite,
-    moment_mc,
     product,
     sample,
 )
@@ -32,7 +30,6 @@ from .malliavin import (
     edet_same_chaos,
     edet_theorem,
     malliavin_slices,
-    order_one_criterion,
     t0_contraction,
     t_last_closed,
     term_T_k,
@@ -54,7 +51,6 @@ from .verify import CheckResult, GuardExceeded, oracle_edet, run_suite
 
 __all__ = [
     "__version__",
-    "KERNEL_BACKEND",
     "BiSymTensor",
     "ChaosExpansion",
     "ChaosPair",
@@ -81,12 +77,10 @@ __all__ = [
     "inner",
     "load_tensor",
     "malliavin_slices",
-    "moment_mc",
     "multiplicity",
     "num_occupations",
     "occupations",
     "oracle_edet",
-    "order_one_criterion",
     "product",
     "random_sym_tensor",
     "random_unit_tensor",

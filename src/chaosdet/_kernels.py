@@ -1,8 +1,7 @@
-"""Numpy fallback for the sample-evaluation kernel.
+"""Sample-evaluation kernel for the Monte Carlo route.
 
-Kept operation-for-operation aligned with the compiled kernel (same
-recurrence, same accumulation order over coefficients and slots) so the
-two backends produce bit-identical results.
+The accumulation order (over coefficients, then slots) is part of the
+Monte Carlo reproducibility contract: changing it moves result bits.
 """
 from __future__ import annotations
 

@@ -27,28 +27,20 @@ alone, independent of threading or call interleaving.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from . import _kernels
 from .multiindex import multiplicity
-from .tensors import (
-    Number,
-    SymTensor,
-    contract,
-    inner,
-    symmetrize,
-    tensor_from_dict,
-    tensor_to_dict,
-)
+from .tensors import Number, SymTensor, contract, inner, symmetrize
 
+# Samples per Philox substream in the Monte Carlo chunk loop.  Results are
+# bit-reproducible for a fixed (seed, chunk size), so changing this value
+# changes every default Monte Carlo output.
 DEFAULT_CHUNK_SIZE = 4096
 
 
@@ -106,25 +98,6 @@ def sample(seed: int, dim: int) -> GaussianSample:
     return GaussianSample(tuple(_philox(seed, 0).standard_normal(dim)))
 
 
-def sample_chunks(
-    seed: int, n_samples: int, dim: int, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> Iterator[np.ndarray]:
-    """Yield sample blocks of shape (<=chunk_size, dim).
-
-    Chunk c is drawn from the Philox stream keyed by (seed, c), so the
-    decomposition is reproducible and chunks are independent substreams.
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    produced = 0
-    chunk_index = 0
-    while produced < n_samples:
-        take = min(chunk_size, n_samples - produced)
-        yield _philox(seed, chunk_index).standard_normal((take, dim))
-        produced += take
-        chunk_index += 1
-
-
 def eval_integral(f: SymTensor, s: GaussianSample) -> Number:
     """Realization of the multiple integral of f at one Gaussian sample."""
     if s.dim != f.dim:
@@ -148,15 +121,6 @@ def eval_arrays(f: SymTensor) -> tuple[np.ndarray, np.ndarray]:
         occ[j] = o
         weights[j] = float(multiplicity(o)) * float(v)
     return occ, weights
-
-
-def eval_integral_many(f: SymTensor, samples: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a (n_samples, dim) array of coordinates."""
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[1] != f.dim:
-        raise ValueError(f"samples must have shape (n, {f.dim})")
-    occ, weights = eval_arrays(f)
-    return _kernels.eval_many(occ, weights, samples)
 
 
 class ChaosExpansion:
@@ -281,62 +245,3 @@ def expectation_of_product(x: ChaosExpansion, y: ChaosExpansion) -> Number:
         if g is not None:
             total += math.factorial(k) * inner(f, g)
     return total
-
-
-def moment_mc(
-    x: ChaosExpansion,
-    n_samples: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> float:
-    """Empirical mean of the expansion over seeded Gaussian samples."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rows = [eval_arrays(t) for t in x.terms.values()]
-    if rows:
-        occ = np.concatenate([o for o, _ in rows], axis=0)
-        weights = np.concatenate([w for _, w in rows], axis=0)
-    else:
-        occ = np.zeros((0, x.dim), dtype=np.int64)
-        weights = np.zeros(0, dtype=np.float64)
-    total = 0.0
-    for block in sample_chunks(seed, n_samples, x.dim, chunk_size):
-        total += float(_kernels.eval_many(occ, weights, block).sum())
-    return total / n_samples
-
-
-# ----------------------------------------------------------------------
-# serialization: the tensor file format with an added order key per block
-
-
-def expansion_to_dict(x: ChaosExpansion) -> dict:
-    blocks = []
-    for order in x.orders():
-        block = tensor_to_dict(x.term(order))
-        del block["dim"]
-        blocks.append(block)
-    return {"dim": x.dim, "terms": blocks}
-
-
-def expansion_from_dict(obj: dict) -> ChaosExpansion:
-    if "dim" not in obj or "terms" not in obj:
-        raise ValueError("expansion record needs 'dim' and 'terms' keys")
-    dim = int(obj["dim"])
-    terms: dict[int, SymTensor] = {}
-    for block in obj["terms"]:
-        order = int(block["order"])
-        if order in terms:
-            raise ValueError(f"duplicate chaos order {order}")
-        terms[order] = tensor_from_dict({"dim": dim, **block})
-    return ChaosExpansion(dim, terms)
-
-
-def save_expansion(x: ChaosExpansion, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(expansion_to_dict(x), fh, indent=2)
-        fh.write("\n")
-
-
-def load_expansion(path: str | os.PathLike) -> ChaosExpansion:
-    with open(path, "r", encoding="utf-8") as fh:
-        return expansion_from_dict(json.load(fh))

@@ -18,6 +18,7 @@ import sys
 from typing import Optional
 
 from . import __version__
+from .chaos import DEFAULT_CHUNK_SIZE
 from .malliavin import ChaosPair, build_report, density_verdict
 from .montecarlo import estimate_edet
 from .tensors import load_tensor, random_unit_tensor, save_tensor
@@ -104,6 +105,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seeds < 1:
+        # an empty grid would leave only the seed-free check and report success
+        raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
     results = run_suite(seeds=range(args.seed, args.seed + args.seeds))
     failed = suite_failed(results)
     if args.format == "text":
@@ -212,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo samples (0 disables the MC route)")
     p_rep.add_argument("--tol", type=float, default=1e-10)
     p_rep.add_argument("--workers", type=int, default=1)
-    p_rep.add_argument("--chunk-size", type=int, default=4096, dest="chunk_size")
+    p_rep.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+                       dest="chunk_size")
     p_rep.add_argument("--unsafe", action="store_true",
                        help=f"lift the exact-route guard (dim <= {GUARD_MAX_DIM}, "
                             f"orders <= {GUARD_MAX_ORDER})")
@@ -230,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--workers", type=int, default=1)
-    p_mc.add_argument("--chunk-size", type=int, default=4096, dest="chunk_size")
+    p_mc.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+                      dest="chunk_size")
     _add_output_arguments(p_mc)
     p_mc.set_defaults(func=cmd_mc)
 

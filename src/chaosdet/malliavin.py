@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .chaos import GaussianSample, eval_integral
+from .chaos import DEFAULT_CHUNK_SIZE, GaussianSample, eval_integral
 from .tensors import Number, SymTensor, contract, inner, symmetrize
 
 
@@ -300,17 +300,6 @@ def density_verdict(pair: ChaosPair, tol: float = 1e-10) -> DensityVerdict:
     return DensityVerdict.UNDECIDED
 
 
-def order_one_criterion(pair: ChaosPair) -> Number:
-    """E det L for (I_n(f), I_1(g)): the single surviving term.
-
-    Equals n n! (|f (x) g|^2 - |f (x)_1 g|^2); the pair admits a joint
-    density under this criterion exactly when the value is positive.
-    """
-    if pair.m != 1:
-        raise ValueError("criterion applies to pairs with m = 1")
-    return t0_contraction(pair)
-
-
 # ----------------------------------------------------------------------
 # aggregated report
 
@@ -372,7 +361,7 @@ def build_report(
     seed: int = 0,
     tol: float = 1e-10,
     workers: int = 1,
-    chunk_size: int = 4096,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
     unsafe: bool = False,
 ) -> MalliavinReport:
     """Compute every route that fits the exact-computation guard.

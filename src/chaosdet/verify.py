@@ -94,14 +94,25 @@ def _result(
 ) -> CheckResult:
     """Compare lhs and rhs; the relative error is taken against the larger
     of |lhs|, |rhs| and ``scale``, the magnitude of the terms that were
-    combined, so cancellation to a near-zero value does not inflate it."""
+    combined, so cancellation to a near-zero value does not inflate it.
+
+    A non-finite value fails with an infinite relative error: NaN compares
+    false with everything, so it would otherwise pass the tolerance test."""
     lhs = float(lhs)
     rhs = float(rhs)
     abs_err = abs(lhs - rhs)
+    if not all(math.isfinite(x) for x in (lhs, rhs, abs_err, scale)):
+        return CheckResult(check_id, lhs, rhs, abs_err, math.inf, tol, False, seed)
     denom = max(abs(lhs), abs(rhs), scale)
     rel_err = abs_err / denom if denom > 0 else 0.0
     passed = abs_err <= tol if zero_target else rel_err <= tol
     return CheckResult(check_id, lhs, rhs, abs_err, rel_err, tol, passed, seed)
+
+
+def _worst(results: Iterable[CheckResult]) -> CheckResult:
+    """The result to report: a failing one first, then the larger error,
+    then the earliest."""
+    return max(results, key=lambda r: (not r.passed, r.rel_err))
 
 
 def _id(name: str, **params) -> str:
@@ -158,16 +169,16 @@ def check_contraction_duality(seed: int, d: int = 3, n: int = 3, m: int = 3) -> 
     f3 = random_unit_tensor(seed * 4000 + 2, d, n)
     f2 = random_unit_tensor(seed * 4000 + 3, d, m)
     f4 = random_unit_tensor(seed * 4000 + 4, d, m)
-    worst = None
+    results = []
     for r in range(min(n - 1, m - 1) + 1):
         lhs = inner(contract(f1, f3, n - r), contract(f2, f4, m - r))
         rhs = inner(contract(f1, f2, r), contract(f3, f4, r))
-        res = _result(
-            _id("contraction-duality", d=d, n=n, m=m, r=r), lhs, rhs, TOL_SCALAR, seed
+        results.append(
+            _result(
+                _id("contraction-duality", d=d, n=n, m=m, r=r), lhs, rhs, TOL_SCALAR, seed
+            )
         )
-        if worst is None or res.rel_err > worst.rel_err:
-            worst = res
-    return worst
+    return _worst(results)
 
 
 def check_sym_outer_inner(seed: int, d: int = 3, n: int = 2, m: int = 3) -> CheckResult:
@@ -216,7 +227,7 @@ def check_slice_contraction(seed: int, d: int = 3, n: int = 3, m: int = 3) -> Ch
             acc = piece if acc is None else acc + piece
         rebuilt = acc.scale(1.0 / (n * m))
         err = max_coeff_diff(rebuilt, target)
-        if err > worst_err:
+        if err > worst_err or math.isnan(err):
             worst_err, worst_r = err, r
     return _result(
         _id("slice-contraction", d=d, n=n, m=m, r=worst_r),
@@ -240,24 +251,24 @@ def check_det_sum_of_squares(
     from .chaos import eval_integral
 
     pair = _pair(seed * 7 + 1, d, n, m)
-    worst = None
+    results = []
     for j in range(n_points):
         s = sample(seed * 31 + j, d)
         gram, sos = det_lambda_at(pair, s)
         sf = [eval_integral(t, s) for t in pair.slices_f]
         sg = [eval_integral(t, s) for t in pair.slices_g]
         scale = sum(v * v for v in sf) * sum(v * v for v in sg)
-        res = _result(
-            _id("det-sum-of-squares", d=d, n=n, m=m),
-            gram,
-            sos,
-            TOL_POINTWISE,
-            seed,
-            scale=scale,
+        results.append(
+            _result(
+                _id("det-sum-of-squares", d=d, n=n, m=m),
+                gram,
+                sos,
+                TOL_POINTWISE,
+                seed,
+                scale=scale,
+            )
         )
-        if worst is None or res.rel_err > worst.rel_err:
-            worst = res
-    return worst
+    return _worst(results)
 
 
 def check_t0_contraction_form(seed: int, d: int = 3, n: int = 2, m: int = 3) -> CheckResult:
@@ -292,7 +303,7 @@ def check_edet_routes(seed: int, d: int = 2, n: int = 2, m: int = 2) -> CheckRes
         TOL_EXPECTATION,
         seed,
     )
-    return res_ct if res_ct.rel_err > res_co.rel_err else res_co
+    return _worst([res_co, res_ct])
 
 
 def check_same_order_decomposition(seed: int, d: int = 2, m: int = 3) -> CheckResult:
@@ -324,7 +335,7 @@ def check_contraction_inequality(seed: int, d: int = 3, n: int = 3, m: int = 3) 
     """The weighted telescoping contraction-norm sum is non-negative."""
     pair = _pair(seed * 7 + 7, d, n, m)
     value = float(contraction_inequality_sum(pair))
-    shortfall = max(0.0, -value)
+    shortfall = 0.0 if value >= 0 else -value  # NaN stays NaN and fails
     return _result(
         _id("contraction-inequality", d=d, n=n, m=m),
         shortfall,

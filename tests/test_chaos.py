@@ -5,24 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaosdet import _kernels
 from chaosdet.chaos import (
     ChaosExpansion,
     GaussianSample,
+    _philox,
+    eval_arrays,
     eval_integral,
-    eval_integral_many,
-    expansion_from_dict,
-    expansion_to_dict,
     expectation,
     expectation_of_product,
     hermite,
-    load_expansion,
-    moment_mc,
     product,
     sample,
-    sample_chunks,
-    save_expansion,
 )
-from chaosdet.tensors import SymTensor, inner, random_sym_tensor
+from chaosdet.malliavin import ChaosPair, det_lambda_at
+from chaosdet.montecarlo import estimate_edet
+from chaosdet.tensors import SymTensor, inner, random_sym_tensor, random_unit_tensor
 
 from dense_reference import dense_eval, sym_to_dense
 
@@ -87,7 +85,7 @@ class TestEvalIntegral:
     def test_batch_matches_scalar(self):
         f = random_sym_tensor(3, 3, 3)
         xs = np.asarray([sample(s, 3).xi for s in range(20)])
-        batch = eval_integral_many(f, xs)
+        batch = _kernels.eval_many(*eval_arrays(f), xs)
         for row, x in zip(batch, xs):
             assert row == pytest.approx(eval_integral(f, GaussianSample(tuple(x))))
 
@@ -177,58 +175,19 @@ class TestSampling:
         assert sample(7, 3) != sample(8, 3)
 
     def test_chunks_cover_and_repeat(self):
-        blocks = list(sample_chunks(5, 10000, 2, chunk_size=4096))
-        assert [len(b) for b in blocks] == [4096, 4096, 1808]
-        again = list(sample_chunks(5, 10000, 2, chunk_size=4096))
-        for a, b in zip(blocks, again):
-            np.testing.assert_array_equal(a, b)
+        # the Monte Carlo chunk loop draws chunk c from the Philox stream
+        # keyed by (seed, c), the last chunk holding the remainder
+        pair = ChaosPair(random_unit_tensor(0, 2, 2), random_unit_tensor(1, 2, 2))
+        est = estimate_edet(pair, 10000, seed=5, chunk_size=4096)
+        dets = [
+            det_lambda_at(pair, GaussianSample(tuple(x))).gram
+            for c, take in enumerate([4096, 4096, 1808])
+            for x in _philox(5, c).standard_normal((take, 2))
+        ]
+        assert est.n_samples == len(dets) == 10000
+        assert est.mean == pytest.approx(sum(dets) / len(dets), rel=1e-10)
+        assert estimate_edet(pair, 10000, seed=5, chunk_size=4096) == est
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             sample(-1, 2)
-
-    def test_moment_mc_constant(self):
-        c = ChaosExpansion.constant(2, 5.0)
-        assert moment_mc(c, 1000, seed=0) == pytest.approx(5.0)
-
-    def test_moment_mc_centered(self):
-        x = ChaosExpansion.of(SymTensor.basis_power(2, 0, 2))
-        n = 100_000
-        mean = moment_mc(x, n, seed=3)
-        # var H_2 = 2, so stderr = sqrt(2/n)
-        assert abs(mean) < 4 * math.sqrt(2 / n)
-
-    def test_moment_mc_second_moment(self):
-        # E H_2(xi)^2 = 2! = 2
-        x = ChaosExpansion.of(SymTensor.basis_power(2, 0, 2))
-        sq = product(x, x)
-        n = 100_000
-        mean = moment_mc(sq, n, seed=4)
-        # var(H_2^2) = E H_2^4 - 4 = 60 - 4
-        assert abs(mean - 2.0) < 4 * math.sqrt(56 / n)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        x = ChaosExpansion.of(random_sym_tensor(0, 2, 2)) + ChaosExpansion.constant(
-            2, 1.5
-        )
-        path = tmp_path / "x.json"
-        save_expansion(x, path)
-        assert load_expansion(path) == x
-
-    def test_blocks_carry_order_key(self):
-        x = ChaosExpansion.of(random_sym_tensor(0, 2, 2))
-        obj = expansion_to_dict(x)
-        assert obj["terms"][0]["order"] == 2
-
-    def test_duplicate_order_rejected(self):
-        obj = {
-            "dim": 2,
-            "terms": [
-                {"order": 1, "entries": [{"occupation": [1, 0], "coeff": 1.0}]},
-                {"order": 1, "entries": [{"occupation": [0, 1], "coeff": 1.0}]},
-            ],
-        }
-        with pytest.raises(ValueError, match="duplicate"):
-            expansion_from_dict(obj)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chaosdet import verify
 from chaosdet.cli import main
 from chaosdet.multiindex import num_occupations
 from chaosdet.tensors import load_tensor, random_unit_tensor, save_tensor, tensor_to_dict
@@ -143,6 +144,20 @@ class TestVerify:
         assert code == 0
         assert record["failed"] is False
         assert all(c["passed"] for c in record["checks"])
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_rejects_empty_seed_range(self, capsys, seeds):
+        code = main(["verify", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error:") and "--seeds" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_route_fails_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "edet_theorem", lambda pair: float("nan"))
+        code, out = run_cli(capsys, "verify", "--seeds", "1")
+        assert code == 1
+        assert "FAIL edet-closed-vs-theorem" in out
 
 
 class TestMc:

@@ -1,36 +1,22 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-import chaosdet
 from chaosdet import _kernels
-from chaosdet._kernels import _pure, backends
 from chaosdet.chaos import GaussianSample, eval_integral, eval_arrays, hermite
 from chaosdet.tensors import random_sym_tensor
-
-
-def random_inputs(seed, n_coeffs=12, dim=3, n_samples=257, max_order=4):
-    rng = np.random.default_rng(seed)
-    occ = rng.integers(0, max_order + 1, size=(n_coeffs, dim)).astype(np.int64)
-    weights = rng.standard_normal(n_coeffs)
-    samples = rng.standard_normal((n_samples, dim))
-    return occ, weights, samples
 
 
 class TestHermiteTable:
     def test_matches_scalar_recurrence(self):
         x = np.linspace(-3, 3, 11).reshape(-1, 1)
-        table = _pure.hermite_table(6, x)
+        table = _kernels.hermite_table(6, x)
         for k in range(7):
             for t, xv in enumerate(x[:, 0]):
                 assert table[k, t, 0] == pytest.approx(hermite(k, float(xv)))
 
     def test_order_zero_only(self):
         x = np.ones((4, 2))
-        table = _pure.hermite_table(0, x)
+        table = _kernels.hermite_table(0, x)
         np.testing.assert_array_equal(table, np.ones((1, 4, 2)))
 
 
@@ -51,61 +37,3 @@ class TestEvalMany:
         np.testing.assert_array_equal(
             _kernels.eval_many(occ, weights, samples), np.zeros(5)
         )
-
-    def test_backends_bitwise_identical(self):
-        impls = backends()
-        if "native" not in impls:
-            pytest.skip("compiled kernel not built")
-        for seed in range(5):
-            occ, weights, samples = random_inputs(seed)
-            a = impls["python"](occ, weights, samples)
-            b = impls["native"](occ, weights, samples)
-            np.testing.assert_array_equal(a, b)
-
-
-def child_env(backend):
-    """Environment for a child interpreter that imports this same chaosdet.
-
-    The child inherits this process's environment with CHAOSDET_BACKEND set
-    to ``backend`` and, first on PYTHONPATH, the directory that holds the
-    imported package, whether it came from PYTHONPATH or an install.
-    """
-    env = dict(os.environ)
-    env["CHAOSDET_BACKEND"] = backend
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(chaosdet.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
-class TestBackendSelection:
-    def test_backend_reported(self):
-        assert _kernels.BACKEND in ("python", "native")
-        assert _kernels.BACKEND in backends()
-
-    def test_forced_python_backend(self):
-        code = (
-            "import chaosdet; "
-            "print(chaosdet.KERNEL_BACKEND)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=child_env("python"),
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "python"
-
-    def test_invalid_backend_rejected(self):
-        code = "import chaosdet"
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=child_env("rust"),
-        )
-        assert out.returncode != 0
-        assert "ValueError" in out.stderr, out.stderr
-        assert "CHAOSDET_BACKEND" in out.stderr

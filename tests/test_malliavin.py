@@ -19,7 +19,6 @@ from chaosdet.malliavin import (
     edet_same_chaos,
     edet_theorem,
     malliavin_slices,
-    order_one_criterion,
     r_term,
     t0_contraction,
     t_last_closed,
@@ -371,29 +370,27 @@ class TestDensityVerdict:
 
 
 class TestOrderOneCriterion:
+    """For m = 1 the only term is T_0 = n n! (|f (x) g|^2 - |f (x)_1 g|^2)."""
+
     def test_parallel_pair(self):
         pair = ChaosPair(SymTensor.basis_power(2, 0, 3), SymTensor.basis(2, 0))
-        assert order_one_criterion(pair) == 0
+        assert t0_contraction(pair) == edet_closed(pair) == 0
 
     def test_orthogonal_elementary(self):
         pair = ChaosPair(SymTensor.basis_power(2, 0, 2), SymTensor.basis(2, 1))
-        assert order_one_criterion(pair) == 4
+        assert t0_contraction(pair) == edet_closed(pair) == 4
 
     def test_equals_other_routes(self):
         pair = unit_pair(15, 3, 3, 1)
-        assert order_one_criterion(pair) == edet_theorem(pair)
-        assert float(order_one_criterion(pair)) == pytest.approx(
+        assert t0_contraction(pair) == edet_theorem(pair)
+        assert float(t0_contraction(pair)) == pytest.approx(
             float(edet_closed(pair)), rel=1e-10
         )
         exact = ChaosPair(
             random_sym_tensor(16, 2, 3, dist="int"),
             random_sym_tensor(17, 2, 1, dist="int"),
         )
-        assert order_one_criterion(exact) == edet_closed(exact)
-
-    def test_wrong_order(self):
-        with pytest.raises(ValueError):
-            order_one_criterion(unit_pair(0, 2, 2, 2))
+        assert t0_contraction(exact) == edet_closed(exact)
 
 
 class TestReport:

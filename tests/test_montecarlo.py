@@ -39,6 +39,15 @@ class TestEstimateEdet:
         threaded = estimate_edet(pair, 20_000, seed=9, workers=4)
         assert serial == threaded
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_bits(self, workers):
+        # recorded values: any change to the draw, the kernel or the
+        # reduction moves these bits
+        pair = ChaosPair(random_unit_tensor(11, 3, 2), random_unit_tensor(12, 3, 2))
+        est = estimate_edet(pair, 20000, seed=5, workers=workers)
+        assert est.mean == float.fromhex("0x1.799b609c23287p+4")
+        assert est.stderr == float.fromhex("0x1.c29691743059fp-2")
+
     def test_chunk_size_is_part_of_the_contract(self):
         pair = small_pair(2)
         a = estimate_edet(pair, 10_000, seed=9, chunk_size=4096)

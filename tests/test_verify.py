@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -159,6 +160,49 @@ class TestCheckers:
     def test_line_format(self):
         line = check_order2_identity(0).line()
         assert line.startswith("PASS") or line.startswith("FAIL")
+
+
+def nan_on_call(func, call, to_nan):
+    """func, except that its call number ``call`` (from 1) returns to_nan(value)."""
+    count = itertools.count(1)
+
+    def patched(*args, **kwargs):
+        value = func(*args, **kwargs)
+        return to_nan(value) if next(count) == call else value
+
+    return patched
+
+
+def nan(value):
+    return math.nan
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize(
+        "lhs, rhs",
+        [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf), (math.inf, math.inf)],
+    )
+    @pytest.mark.parametrize("zero_target", [False, True])
+    def test_non_finite_value_fails(self, lhs, rhs, zero_target):
+        res = verify._result("x", lhs, rhs, 1e-10, 0, zero_target=zero_target)
+        assert not res.passed
+        assert res.rel_err == math.inf
+
+    # each route turns NaN on a call after a finite, passing one
+    @pytest.mark.parametrize(
+        "checker, route, call, to_nan",
+        [
+            (check_contraction_duality, "inner", 3, nan),
+            (check_slice_contraction, "max_coeff_diff", 2, nan),
+            (check_det_sum_of_squares, "det_lambda_at", 2, lambda v: v._replace(gram=math.nan)),
+            (check_edet_routes, "edet_theorem", 1, nan),
+            (check_contraction_inequality, "contraction_inequality_sum", 1, nan),
+        ],
+    )
+    def test_nan_route_fails(self, monkeypatch, checker, route, call, to_nan):
+        monkeypatch.setattr(verify, route, nan_on_call(getattr(verify, route), call, to_nan))
+        res = checker(42)
+        assert not res.passed, res.line()
 
 
 class TestSuite:
