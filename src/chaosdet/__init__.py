@@ -13,7 +13,6 @@ from .chaos import (
     ChaosExpansion,
     GaussianSample,
     eval_integral,
-    expectation,
     hermite,
     product,
     sample,
@@ -35,7 +34,7 @@ from .malliavin import (
     term_T_k,
 )
 from .montecarlo import McEstimate, estimate_edet
-from .multiindex import MultiIndex, multiplicity, num_occupations, occupations
+from .multiindex import multiplicity, num_occupations, occupations
 from .tensors import (
     BiSymTensor,
     SymTensor,
@@ -60,7 +59,6 @@ __all__ = [
     "GuardExceeded",
     "MalliavinReport",
     "McEstimate",
-    "MultiIndex",
     "SymTensor",
     "build_report",
     "contract",
@@ -72,7 +70,6 @@ __all__ = [
     "edet_theorem",
     "estimate_edet",
     "eval_integral",
-    "expectation",
     "hermite",
     "inner",
     "load_tensor",

@@ -163,9 +163,6 @@ class ChaosExpansion:
     def orders(self) -> list[int]:
         return sorted(self._terms)
 
-    def term(self, order: int) -> SymTensor:
-        return self._terms.get(order, SymTensor.zeros(self.dim, order))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChaosExpansion)
@@ -223,10 +220,6 @@ def product(x: ChaosExpansion, y: ChaosExpansion) -> ChaosExpansion:
                 order = n + m - 2 * r
                 acc[order] = acc[order] + piece if order in acc else piece
     return ChaosExpansion(x.dim, acc)
-
-
-def expectation(x: ChaosExpansion) -> Number:
-    return x.expectation()
 
 
 def expectation_of_product(x: ChaosExpansion, y: ChaosExpansion) -> Number:

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .chaos import DEFAULT_CHUNK_SIZE
-from .malliavin import ChaosPair, build_report, density_verdict
+from .malliavin import ChaosPair, OutsideDecidedRange, build_report, density_verdict
 from .montecarlo import estimate_edet
 from .tensors import load_tensor, random_unit_tensor, save_tensor
 from .verify import GUARD_MAX_DIM, GUARD_MAX_ORDER, run_suite, suite_failed
@@ -61,7 +61,7 @@ def _load_pair(args) -> ChaosPair:
         g = random_unit_tensor(args.seed * 1000 + 2, args.dim, args.m)
         return ChaosPair(f, g)
     if not args.f or not args.g:
-        raise SystemExit("either two tensor files or --random with --dim/--n/--m")
+        raise ValueError("either two tensor files or --random with --dim/--n/--m")
     return ChaosPair(load_tensor(args.f), load_tensor(args.g))
 
 
@@ -163,7 +163,7 @@ def cmd_density(args) -> int:
     warnings = []
     try:
         verdict = density_verdict(pair, tol=args.tol).value
-    except ValueError as exc:
+    except OutsideDecidedRange as exc:
         # outside the decided range the only honest answer is Undecided
         verdict = "Undecided"
         warnings.append(str(exc))

@@ -271,17 +271,31 @@ class DensityVerdict(enum.Enum):
     UNDECIDED = "Undecided"
 
 
+class OutsideDecidedRange(ValueError):
+    """The pair's orders lie outside the range where the dichotomy holds."""
+
+
+def _check_tol(tol: float) -> None:
+    # a negative or NaN threshold makes every pair "nonzero", an infinite
+    # one makes every pair "zero": either would turn into a verdict
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def density_verdict(pair: ChaosPair, tol: float = 1e-10) -> DensityVerdict:
     """Joint-density dichotomy for equal orders m <= 4.
 
     det C and E det L vanish together in this range; both indicators are
     tested at a scale-invariant relative threshold and the verdict is
-    Undecided if they disagree or if either is not finite.
+    Undecided if they disagree or if either is not finite.  A bad ``tol``
+    raises ValueError; orders outside the range raise
+    :class:`OutsideDecidedRange`.
     """
+    _check_tol(tol)
     if pair.n != pair.m:
-        raise ValueError("density verdict requires equal chaos orders")
+        raise OutsideDecidedRange("density verdict requires equal chaos orders")
     if pair.m > 4:
-        raise ValueError("density verdict is only decided for orders <= 4")
+        raise OutsideDecidedRange("density verdict is only decided for orders <= 4")
     n, m = pair.n, pair.m
     scale = float(
         math.factorial(n) * math.factorial(m) * pair.f.norm_sq() * pair.g.norm_sq()
@@ -346,14 +360,6 @@ class MalliavinReport:
             out["verdict"] = self.verdict.value
         return out
 
-    def to_text(self) -> str:
-        lines = [f"dim: {self.dim}", f"n: {self.n}", f"m: {self.m}"]
-        for key, value in self.quantities().items():
-            lines.append(f"{key}: {value}")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
-        return "\n".join(lines) + "\n"
-
 
 def build_report(
     pair: ChaosPair,
@@ -368,20 +374,19 @@ def build_report(
 
     Outside the guard (and without ``unsafe``) the report degrades to
     the covariance determinant plus, when ``trials > 0``, the Monte
-    Carlo estimate, with a warning record.
+    Carlo estimate, with a warning record.  ``trials < 0`` and a bad
+    ``tol`` raise ValueError before any route runs.
     """
     # local imports: verify/montecarlo build on this module
     from .montecarlo import estimate_edet
-    from .verify import GUARD_MAX_DIM, GUARD_MAX_ORDER, oracle_edet
+    from .verify import GUARD_MAX_DIM, GUARD_MAX_ORDER, oracle_edet, within_guard
 
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    _check_tol(tol)
     _, det_c = covariance(pair)
     report = MalliavinReport(pair.dim, pair.n, pair.m, det_c=float(det_c))
-    within_guard = (
-        pair.dim <= GUARD_MAX_DIM
-        and pair.n <= GUARD_MAX_ORDER
-        and pair.m <= GUARD_MAX_ORDER
-    )
-    if within_guard or unsafe:
+    if within_guard(pair.dim, pair.n, pair.m) or unsafe:
         terms = [float(v) for v in t_terms(pair)]
         report.t_terms = terms
         report.r_term = float(sum(terms[1:]))

@@ -12,7 +12,6 @@ Basis indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 
@@ -62,50 +61,3 @@ def sub_occupations(occ: Sequence[int], order: int) -> Iterator[tuple[int, ...]]
                 yield (a,) + rest
 
     yield from rec(0, order)
-
-
-def occupation_of(indices: Sequence[int], dim: int) -> tuple[int, ...]:
-    """Occupation vector of an ordered tuple of 0-based basis indices."""
-    occ = [0] * dim
-    for j in indices:
-        if not 0 <= j < dim:
-            raise ValueError(f"basis index {j} out of range for dim {dim}")
-        occ[j] += 1
-    return tuple(occ)
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A canonical multi-index in occupation form."""
-
-    occupations: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        occ = tuple(int(a) for a in self.occupations)
-        if len(occ) < 1:
-            raise ValueError("occupation vector must have dim >= 1")
-        if any(a < 0 for a in occ):
-            raise ValueError(f"occupations must be non-negative, got {occ}")
-        object.__setattr__(self, "occupations", occ)
-
-    @property
-    def dim(self) -> int:
-        return len(self.occupations)
-
-    @property
-    def order(self) -> int:
-        return sum(self.occupations)
-
-    def multiplicity(self) -> int:
-        return multiplicity(self.occupations)
-
-    @classmethod
-    def from_indices(cls, indices: Sequence[int], dim: int) -> "MultiIndex":
-        return cls(occupation_of(indices, dim))
-
-    def indices(self) -> tuple[int, ...]:
-        """Sorted ordered tuple expanding this occupation."""
-        out: list[int] = []
-        for i, a in enumerate(self.occupations):
-            out.extend([i] * a)
-        return tuple(out)

@@ -1,11 +1,11 @@
 """Symmetric and block-symmetric tensors in canonical sparse storage.
 
 A fully symmetric element of H^(x)k over a d-dimensional orthonormal
-basis is stored once per canonical multi-index: ``coeffs`` maps an
-occupation vector to the common value of the coefficient on every
-ordered tuple with that occupation.  Inner products and contractions
-then carry explicit multinomial weights instead of enumerating ordered
-tuples, which keeps storage and work polynomial in d.
+basis is stored once per canonical multi-index: each occupation vector
+holds the common value of the coefficient on every ordered tuple with
+that occupation.  Inner products and contractions then carry explicit
+multinomial weights instead of enumerating ordered tuples, which keeps
+storage and work polynomial in d.
 
 Contractions pair the first r slots of one symmetric tensor against the
 first r slots of another.  The result is symmetric within its left
@@ -28,24 +28,17 @@ import json
 import math
 import os
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .multiindex import (
-    MultiIndex,
-    multiplicity,
-    occupations,
-    sub_occupations,
-)
+from .multiindex import multiplicity, occupations, sub_occupations
 
 Number = Union[int, float, Fraction]
-OccKey = Union[tuple[int, ...], MultiIndex]
 
 
-def _as_occ(key: OccKey, dim: int, order: int) -> tuple[int, ...]:
-    occ = key.occupations if isinstance(key, MultiIndex) else tuple(int(a) for a in key)
+def _as_occ(key: Sequence[int], dim: int, order: int) -> tuple[int, ...]:
+    occ = tuple(int(a) for a in key)
     if len(occ) != dim:
         raise ValueError(f"occupation {occ} has dim {len(occ)}, expected {dim}")
     if any(a < 0 for a in occ):
@@ -66,7 +59,9 @@ class SymTensor:
 
     __slots__ = ("dim", "order", "_coeffs")
 
-    def __init__(self, dim: int, order: int, coeffs: Mapping[OccKey, Number] | None = None):
+    def __init__(
+        self, dim: int, order: int, coeffs: Mapping[tuple[int, ...], Number] | None = None
+    ):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if order < 0:
@@ -96,16 +91,8 @@ class SymTensor:
         t._coeffs = {occ: v for occ, v in data.items() if v != 0}
         return t
 
-    @property
-    def coeffs(self) -> Mapping[tuple[int, ...], Number]:
-        return MappingProxyType(self._coeffs)
-
-    def get(self, key: OccKey) -> Number:
-        occ = key.occupations if isinstance(key, MultiIndex) else tuple(key)
-        return self._coeffs.get(occ, 0)
-
-    def __getitem__(self, key: OccKey) -> Number:
-        return self.get(key)
+    def get(self, key: Sequence[int]) -> Number:
+        return self._coeffs.get(tuple(key), 0)
 
     def items(self):
         return self._coeffs.items()
@@ -137,36 +124,11 @@ class SymTensor:
         return cls(dim, 0, {(0,) * dim: value})
 
     @classmethod
-    def basis(cls, dim: int, i: int) -> "SymTensor":
-        """The basis vector e_i (0-based) as an order-1 tensor."""
-        occ = [0] * dim
-        occ[i] = 1
-        return cls(dim, 1, {tuple(occ): 1})
-
-    @classmethod
     def basis_power(cls, dim: int, i: int, order: int) -> "SymTensor":
         """The elementary tensor e_i^(x)order."""
         occ = [0] * dim
         occ[i] = order
         return cls(dim, order, {tuple(occ): 1})
-
-    @classmethod
-    def sym_elementary(cls, dim: int, indices: Sequence[int]) -> "SymTensor":
-        """Symmetrization of e_{j_1} (x) ... (x) e_{j_k} for 0-based indices."""
-        mi = MultiIndex.from_indices(indices, dim)
-        return cls(dim, mi.order, {mi.occupations: Fraction(1, mi.multiplicity())})
-
-    @classmethod
-    def vector_power(cls, h: Sequence[Number], order: int) -> "SymTensor":
-        """The tensor power h^(x)order of a coordinate vector h."""
-        dim = len(h)
-        data: dict[tuple[int, ...], Number] = {}
-        for occ in occupations(dim, order):
-            v: Number = 1
-            for hi, a in zip(h, occ):
-                v = v * hi**a
-            data[occ] = v
-        return cls(dim, order, data)
 
     # ------------------------------------------------------------------
     # linear-space operations
@@ -197,11 +159,6 @@ class SymTensor:
         return SymTensor._trusted(
             self.dim, self.order, {occ: c * v for occ, v in self._coeffs.items()}
         )
-
-    def __mul__(self, c: Number) -> "SymTensor":
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     # ------------------------------------------------------------------
     # metric and slices
@@ -283,14 +240,8 @@ class BiSymTensor:
         t._coeffs = {key: v for key, v in data.items() if v != 0}
         return t
 
-    @property
-    def coeffs(self):
-        return MappingProxyType(self._coeffs)
-
-    def get(self, left: OccKey, right: OccKey) -> Number:
-        lo = left.occupations if isinstance(left, MultiIndex) else tuple(left)
-        ro = right.occupations if isinstance(right, MultiIndex) else tuple(right)
-        return self._coeffs.get((lo, ro), 0)
+    def get(self, left: Sequence[int], right: Sequence[int]) -> Number:
+        return self._coeffs.get((tuple(left), tuple(right)), 0)
 
     def items(self):
         return self._coeffs.items()
@@ -349,22 +300,6 @@ class BiSymTensor:
 
     def norm(self) -> float:
         return math.sqrt(float(self.norm_sq()))
-
-    def as_sym(self) -> SymTensor:
-        """Lossless embedding when one block has order 0."""
-        if self.left_order and self.right_order:
-            raise ValueError("only a tensor with an empty block embeds as SymTensor")
-        data = {
-            (a if self.right_order == 0 else b): v for (a, b), v in self._coeffs.items()
-        }
-        return SymTensor._trusted(self.dim, self.left_order + self.right_order, data)
-
-    def as_scalar(self) -> Number:
-        """Value of a fully contracted (0, 0) result."""
-        if self.left_order or self.right_order:
-            raise ValueError("as_scalar requires both blocks of order 0")
-        zero = (0,) * self.dim
-        return self._coeffs.get((zero, zero), 0)
 
 
 # ----------------------------------------------------------------------

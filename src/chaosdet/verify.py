@@ -128,8 +128,13 @@ def _pair(seed: int, d: int, n: int, m: int) -> ChaosPair:
     return ChaosPair(f, g)
 
 
+def within_guard(dim: int, n: int, m: int) -> bool:
+    """Whether the exact routes run on a pair of this shape without ``unsafe``."""
+    return dim <= GUARD_MAX_DIM and n <= GUARD_MAX_ORDER and m <= GUARD_MAX_ORDER
+
+
 def check_guard(dim: int, n: int, m: int) -> None:
-    if dim > GUARD_MAX_DIM or n > GUARD_MAX_ORDER or m > GUARD_MAX_ORDER:
+    if not within_guard(dim, n, m):
         raise GuardExceeded(
             f"exact route guard exceeded (dim={dim}, orders=({n}, {m}); "
             f"limits dim <= {GUARD_MAX_DIM}, orders <= {GUARD_MAX_ORDER}); "

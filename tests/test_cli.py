@@ -209,3 +209,42 @@ class TestDensity:
             "--out", str(out_path),
         )
         assert json.loads(out_path.read_text())["quantities"]["verdict"] == "HasDensity"
+
+
+@pytest.fixture
+def pair_files(tmp_path):
+    """A proportional pair (f, -f/2) and a non-proportional one (h, f)."""
+    f = random_unit_tensor(3, 3, 2)
+    paths = {}
+    for name, t in [("f", f), ("g", f.scale(-0.5)), ("h", random_unit_tensor(4, 3, 2))]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_tensor(t, paths[name])
+    return paths
+
+
+BAD_INPUTS = {
+    "report-no-pair": (["report"], "two tensor files"),
+    "mc-no-pair": (["mc", "--trials", "10"], "two tensor files"),
+    "density-no-pair": (["density"], "two tensor files"),
+    "report-negative-trials": (["report", "--random", "--trials", "-5"], "trials"),
+    "report-tol-negative": (["report", "{f}", "{g}", "--tol", "-1"], "tol"),
+    "report-tol-nan": (["report", "{f}", "{g}", "--tol", "nan"], "tol"),
+    "report-tol-inf": (["report", "{h}", "{f}", "--tol", "inf"], "tol"),
+    "report-tol-nan-past-guard": (["report", "--random", "--dim", "6", "--tol", "nan"], "tol"),
+    "density-tol-negative": (["density", "{f}", "{g}", "--tol", "-1"], "tol"),
+    "density-tol-nan": (["density", "{f}", "{g}", "--tol", "nan"], "tol"),
+    "density-tol-inf": (["density", "{h}", "{f}", "--tol", "inf"], "tol"),
+    "density-tol-nan-mixed-orders": (
+        ["density", "--random", "--n", "2", "--m", "3", "--tol", "nan"], "tol"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(argv, message, pair_files, capsys):
+    # exit 1 is kept for a failed verify check; bad input never yields a record
+    code = main([a.format(**pair_files) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""

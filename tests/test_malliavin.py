@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -5,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chaosdet import malliavin
-from chaosdet.chaos import ChaosExpansion, GaussianSample, expectation, product, sample
+from chaosdet.chaos import ChaosExpansion, GaussianSample, product, sample
+from chaosdet.cli import _emit
 from chaosdet.malliavin import (
     ChaosPair,
     DensityVerdict,
+    OutsideDecidedRange,
     build_report,
     contraction_inequality_sum,
     contraction_norms_sq,
@@ -80,7 +84,7 @@ class TestSlices:
                 term = product(ChaosExpansion.of(s), ChaosExpansion.of(s))
                 norm_df = term if norm_df is None else norm_df + term
             expected = n * math.factorial(n) * inner(f, f)
-            assert expectation(norm_df) == pytest.approx(expected, rel=1e-10)
+            assert norm_df.expectation() == pytest.approx(expected, rel=1e-10)
 
 
 class TestDetLambdaAt:
@@ -315,12 +319,13 @@ class TestCovariance:
         x = ChaosExpansion.of(pair.f)
         y = ChaosExpansion.of(pair.g)
         matrix, det_c = covariance(pair)
-        assert matrix[0][0] == pytest.approx(expectation(product(x, x)), rel=1e-10)
-        assert matrix[0][1] == pytest.approx(expectation(product(x, y)), rel=1e-10)
-        assert matrix[1][1] == pytest.approx(expectation(product(y, y)), rel=1e-10)
-        oracle = expectation(product(x, x)) * expectation(product(y, y)) - expectation(
-            product(x, y)
-        ) ** 2
+        assert matrix[0][0] == pytest.approx(product(x, x).expectation(), rel=1e-10)
+        assert matrix[0][1] == pytest.approx(product(x, y).expectation(), rel=1e-10)
+        assert matrix[1][1] == pytest.approx(product(y, y).expectation(), rel=1e-10)
+        oracle = (
+            product(x, x).expectation() * product(y, y).expectation()
+            - product(x, y).expectation() ** 2
+        )
         assert det_c == pytest.approx(oracle, rel=1e-10)
 
     def test_nonnegative(self):
@@ -351,7 +356,8 @@ class TestDensityVerdict:
 
     def test_nonproportional_powers(self):
         f = SymTensor.basis_power(2, 0, 4)
-        g = SymTensor.vector_power([1.0, 1.0], 4)
+        # (e_0 + e_1)^(x)4: every ordered tuple carries 1
+        g = SymTensor(2, 4, {(4 - a, a): 1.0 for a in range(5)})
         g = g.scale(1.0 / g.norm())
         assert density_verdict(ChaosPair(f, g)) is DensityVerdict.HAS_DENSITY
 
@@ -363,21 +369,40 @@ class TestDensityVerdict:
         assert density_verdict(ChaosPair(f, g)) is DensityVerdict.UNDECIDED
 
     def test_scope_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutsideDecidedRange):
             density_verdict(unit_pair(0, 2, 2, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(OutsideDecidedRange):
             density_verdict(unit_pair(0, 2, 5, 5))
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # a negative or NaN tolerance would call the proportional pair
+        # HasDensity, an infinite one would call every pair proportional
+        f = random_unit_tensor(3, 3, 2)
+        for pair in (ChaosPair(f, f.scale(-0.5)), unit_pair(4, 3, 2, 2), unit_pair(0, 2, 2, 3)):
+            with pytest.raises(ValueError, match="tol") as info:
+                density_verdict(pair, tol=tol)
+            assert not isinstance(info.value, OutsideDecidedRange)
+
+    def test_zero_tolerance_decides_exact_pairs(self):
+        f = random_sym_tensor(5, 3, 3, dist="int")
+        assert (
+            density_verdict(ChaosPair(f, f.scale(-3)), tol=0)
+            is DensityVerdict.NO_DENSITY_PROPORTIONAL
+        )
+        g = random_sym_tensor(6, 3, 3, dist="int")
+        assert density_verdict(ChaosPair(f, g), tol=0) is DensityVerdict.HAS_DENSITY
 
 
 class TestOrderOneCriterion:
     """For m = 1 the only term is T_0 = n n! (|f (x) g|^2 - |f (x)_1 g|^2)."""
 
     def test_parallel_pair(self):
-        pair = ChaosPair(SymTensor.basis_power(2, 0, 3), SymTensor.basis(2, 0))
+        pair = ChaosPair(SymTensor.basis_power(2, 0, 3), SymTensor.basis_power(2, 0, 1))
         assert t0_contraction(pair) == edet_closed(pair) == 0
 
     def test_orthogonal_elementary(self):
-        pair = ChaosPair(SymTensor.basis_power(2, 0, 2), SymTensor.basis(2, 1))
+        pair = ChaosPair(SymTensor.basis_power(2, 0, 2), SymTensor.basis_power(2, 1, 1))
         assert t0_contraction(pair) == edet_closed(pair) == 4
 
     def test_equals_other_routes(self):
@@ -423,7 +448,32 @@ class TestReport:
         assert report.det_c == 12
         assert report.edet_closed == 0.0
 
-    def test_text_rendering(self):
+    def test_text_rendering(self, capsys):
+        # reports render as text through the CLI's record writer
         report = build_report(unit_pair(21, 2, 2, 2))
-        text = report.to_text()
-        assert "detC:" in text and "edet_closed:" in text
+        _emit({"quantities": report.quantities()}, "csv", None)
+        text = capsys.readouterr().out
+        assert "quantities.detC," in text and "quantities.edet_closed," in text
+
+    def test_golden_bits(self):
+        # recorded values at the guard edge: any change to an exact route,
+        # the oracle, the verdict or the key names moves these bits
+        pair = ChaosPair(random_unit_tensor(101, 5, 4), random_unit_tensor(102, 5, 4))
+        q = build_report(pair).quantities()
+        digest = hashlib.sha256(json.dumps(q, sort_keys=True).encode()).hexdigest()
+        assert q["edet_closed"] == float.fromhex("0x1.72e744644b713p+15")
+        assert digest == "adc9eb3681fd2bcebf760f4a11d5ae9bb6b61bff595fac8d4ef1774149166f8e"
+
+    def test_negative_trials_rejected(self):
+        # trials=0 means no Monte Carlo route; a negative count is an error
+        pair = unit_pair(22, 2, 2, 2)
+        assert build_report(pair, trials=0).edet_mc is None
+        with pytest.raises(ValueError, match="trials"):
+            build_report(pair, trials=-5)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected_on_every_path(self, tol):
+        # also where no verdict would be computed: mixed orders, past the guard
+        for pair in (unit_pair(23, 2, 2, 2), unit_pair(23, 2, 2, 3), unit_pair(23, 6, 2, 2)):
+            with pytest.raises(ValueError, match="tol"):
+                build_report(pair, tol=tol)

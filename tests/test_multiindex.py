@@ -1,14 +1,11 @@
 import itertools
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from chaosdet.multiindex import (
-    MultiIndex,
     multiplicity,
     num_occupations,
-    occupation_of,
     occupations,
     sub_occupations,
 )
@@ -20,6 +17,7 @@ def test_multiplicity_values():
     assert multiplicity((2, 1)) == 3
     assert multiplicity((1, 1, 1)) == 6
     assert multiplicity((0, 0)) == 1
+    assert multiplicity((3, 2, 1)) == math.factorial(6) // (6 * 2 * 1) == 60
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4))
@@ -61,27 +59,3 @@ def test_sub_occupations_match_brute_force(occ, r):
     )
     assert got == expected
 
-
-class TestMultiIndex:
-    def test_fields(self):
-        mi = MultiIndex((1, 0, 2))
-        assert mi.dim == 3
-        assert mi.order == 3
-        assert mi.multiplicity() == 3
-
-    def test_from_indices_round_trip(self):
-        mi = MultiIndex.from_indices([2, 0, 2], dim=3)
-        assert mi.occupations == (1, 0, 2)
-        assert mi.indices() == (0, 2, 2)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            MultiIndex((1, -1))
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            occupation_of([3], dim=3)
-
-    def test_multiplicity_is_integer_factorial_ratio(self):
-        mi = MultiIndex((3, 2, 1))
-        assert mi.multiplicity() == math.factorial(6) // (6 * 2 * 1)

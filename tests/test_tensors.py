@@ -72,11 +72,12 @@ class TestContract:
         f = random_sym_tensor(1, 2, 2)
         g = random_sym_tensor(2, 2, 2)
         c = contract(f, g, 2)
-        assert c.as_scalar() == pytest.approx(inner(f, g), rel=1e-12)
+        zero = (0, 0)
+        assert c.get(zero, zero) == pytest.approx(inner(f, g), rel=1e-12)
 
     def test_outer_product(self):
-        f = SymTensor.basis(2, 0)
-        g = SymTensor.basis(2, 1)
+        f = SymTensor.basis_power(2, 0, 1)
+        g = SymTensor.basis_power(2, 1, 1)
         c = contract(f, g, 0)
         assert c.get((1, 0), (0, 1)) == 1
 
@@ -206,16 +207,13 @@ class TestBiSymTensor:
         t = BiSymTensor(2, 1, 1, {((1, 0), (0, 1)): 2.0})
         assert t.norm_sq() == 4.0
 
-    def test_embeds_when_one_block_empty(self):
-        f = random_sym_tensor(3, 2, 2)
-        block = contract(f, SymTensor.constant(2, 1.0), 0)
-        assert block.right_order == 0
-        assert block.as_sym() == f
-
     def test_as_scalar_requires_empty_blocks(self):
-        t = BiSymTensor(2, 1, 0, {((1, 0), (0, 0)): 1.0})
-        with pytest.raises(ValueError):
-            t.as_scalar()
+        # the scalar of a full contraction is its (0, 0) entry; a tensor
+        # with a nonempty block has no such entry, and the validating
+        # constructor rejects one
+        zero = (0, 0)
+        with pytest.raises(ValueError, match="order"):
+            BiSymTensor(2, 1, 0, {(zero, zero): 1.0})
 
     def test_inner_matches_dense(self):
         f = random_sym_tensor(1, 2, 2)
@@ -262,8 +260,8 @@ def int_tensors(draw, dim, order):
 def validated(t):
     """Rebuild through the validating public constructor."""
     if isinstance(t, SymTensor):
-        return SymTensor(t.dim, t.order, t.coeffs)
-    return BiSymTensor(t.dim, t.left_order, t.right_order, t.coeffs)
+        return SymTensor(t.dim, t.order, dict(t.items()))
+    return BiSymTensor(t.dim, t.left_order, t.right_order, dict(t.items()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,10 +282,20 @@ def test_internal_results_match_validated_rebuild(data, d, n, m, c):
     for r in range(min(n, m) + 1):
         block = contract(f, g, r)
         results += [block, block.scale(c), block + contract(f2, g, r), symmetrize(block)]
-    results.append(contract(f, g, min(n, m)).as_sym())
     for t in results:
         assert t == validated(t)
         assert all(v != 0 for _, v in t.items())
+
+
+class TestConstructorKeys:
+    @pytest.mark.parametrize(
+        "key, message", [((3, -1), "negative"), ((1, 0, 1), "dim"), ((1, 0), "order")]
+    )
+    def test_rejects_bad_occupations(self, key, message):
+        with pytest.raises(ValueError, match=message):
+            SymTensor(2, 2, {key: 1.0})
+        with pytest.raises(ValueError, match=message):
+            BiSymTensor(2, 2, 0, {(key, (0, 0)): 1.0})
 
 
 class TestNonFinite:
@@ -322,7 +330,8 @@ class TestExactMode:
         np.testing.assert_allclose(sym_to_dense(s), dense, atol=1e-12)
 
     def test_fraction_round_trip(self):
-        t = SymTensor.sym_elementary(2, [0, 1])
+        # the symmetrization of e_0 (x) e_1
+        t = SymTensor(2, 2, {(1, 1): Fraction(1, 2)})
         assert t.get((1, 1)) == Fraction(1, 2)
         assert t.norm_sq() == Fraction(1, 2)
 

@@ -31,6 +31,7 @@ from chaosdet.verify import (
     oracle_edet,
     run_suite,
     suite_failed,
+    within_guard,
 )
 
 
@@ -60,6 +61,15 @@ class TestOracle:
         # unsafe lifts the guard
         value = oracle_edet(pair, unsafe=True)
         assert value == pytest.approx(float(edet_closed(pair)), rel=1e-8)
+
+    def test_guard_predicate(self):
+        d, k = verify.GUARD_MAX_DIM, verify.GUARD_MAX_ORDER
+        assert within_guard(d, k, k)
+        for shape in [(d + 1, k, k), (d, k + 1, k), (d, k, k + 1)]:
+            assert not within_guard(*shape)
+            with pytest.raises(GuardExceeded):
+                verify.check_guard(*shape)
+        verify.check_guard(d, k, k)
 
     def test_exact_mode(self):
         pair = ChaosPair(
