@@ -48,6 +48,10 @@ def _emit(record: dict, fmt: str, out: Optional[str]) -> None:
         text = buf.getvalue()
     else:
         text = json.dumps(record, indent=2) + "\n"
+    _write(text, out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -115,12 +119,7 @@ def cmd_verify(args) -> int:
         summary = (
             f"{sum(r.passed for r in results)}/{len(results)} checks passed"
         )
-        text = "\n".join(lines + [summary]) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write("\n".join(lines + [summary]) + "\n", args.out)
     else:
         record = {
             "command": "verify",
@@ -253,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            # numpy's own message would name neither the option nor the value
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -50,13 +50,14 @@ from .tensors import Number, SymTensor, contract, inner, symmetrize
 class ChaosPair:
     """An ordered pair of symmetric tensors over the same basis.
 
-    The pair caches what the closed-form routes derive from it: the
-    derivative slices, each T_k and the contraction norms, so every
-    closed-form quantity is computed once per pair.  The chaos-product
-    oracle in :mod:`chaosdet.verify` reads only the slices.
+    The derivative slices are computed once, on construction.  The
+    closed-form routes cache each T_k and the contraction norms in
+    ``_memo``, so every closed-form quantity is computed once per pair.
+    The chaos-product oracle in :mod:`chaosdet.verify` reads only the
+    slices.
     """
 
-    __slots__ = ("f", "g", "dim", "n", "m", "_slices_f", "_slices_g", "_memo")
+    __slots__ = ("f", "g", "dim", "n", "m", "slices_f", "slices_g", "_memo")
 
     def __init__(self, f: SymTensor, g: SymTensor):
         if f.dim != g.dim:
@@ -68,21 +69,9 @@ class ChaosPair:
         self.dim = f.dim
         self.n = f.order
         self.m = g.order
-        self._slices_f: Optional[list[SymTensor]] = None
-        self._slices_g: Optional[list[SymTensor]] = None
+        self.slices_f = malliavin_slices(f)
+        self.slices_g = malliavin_slices(g)
         self._memo: dict = {}
-
-    @property
-    def slices_f(self) -> list[SymTensor]:
-        if self._slices_f is None:
-            self._slices_f = malliavin_slices(self.f)
-        return self._slices_f
-
-    @property
-    def slices_g(self) -> list[SymTensor]:
-        if self._slices_g is None:
-            self._slices_g = malliavin_slices(self.g)
-        return self._slices_g
 
     def __repr__(self) -> str:
         return f"ChaosPair(dim={self.dim}, orders=({self.n}, {self.m}))"
@@ -374,16 +363,18 @@ def build_report(
 
     Outside the guard (and without ``unsafe``) the report degrades to
     the covariance determinant plus, when ``trials > 0``, the Monte
-    Carlo estimate, with a warning record.  ``trials < 0`` and a bad
-    ``tol`` raise ValueError before any route runs.
+    Carlo estimate, with a warning record.  ``trials < 0``, a bad
+    ``tol`` and ``workers`` or ``chunk_size`` below 1 raise ValueError
+    before any route runs, whether or not Monte Carlo runs.
     """
     # local imports: verify/montecarlo build on this module
-    from .montecarlo import estimate_edet
+    from .montecarlo import _check_sampling_args, estimate_edet
     from .verify import GUARD_MAX_DIM, GUARD_MAX_ORDER, oracle_edet, within_guard
 
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     _check_tol(tol)
+    _check_sampling_args(workers, chunk_size)
     _, det_c = covariance(pair)
     report = MalliavinReport(pair.dim, pair.n, pair.m, det_c=float(det_c))
     if within_guard(pair.dim, pair.n, pair.m) or unsafe:

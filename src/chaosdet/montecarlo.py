@@ -45,6 +45,13 @@ def _det_lambda_block(
     return a * b - q * q
 
 
+def _check_sampling_args(workers: int, chunk_size: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+
+
 def estimate_edet(
     pair: ChaosPair,
     n_samples: int,
@@ -55,10 +62,7 @@ def estimate_edet(
     """Empirical mean and standard error of det L over seeded samples."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    _check_sampling_args(workers, chunk_size)
     slices_f = [eval_arrays(t) for t in pair.slices_f]
     slices_g = [eval_arrays(t) for t in pair.slices_g]
     n_chunks = (n_samples + chunk_size - 1) // chunk_size

@@ -12,9 +12,12 @@ first r slots of another.  The result is symmetric within its left
 block (the surviving slots of the first factor) and within its right
 block, but not across blocks; :class:`BiSymTensor` stores exactly that
 structure, and :func:`symmetrize` averages it over all slot
-permutations when a fully symmetric result is needed.  The two are kept
-separate on purpose: block norms and symmetrized norms differ, and both
-enter the determinant identities implemented in :mod:`chaosdet.malliavin`.
+permutations when a fully symmetric result is needed.  The two kinds
+share their storage (a dict from canonical key to nonzero coefficient),
+their arithmetic and the metric built on it; they differ only in key
+shape, the multinomial weight of a key and hence the norm.  Block norms
+and symmetrized norms differ, and both enter the determinant identities
+implemented in :mod:`chaosdet.malliavin`.
 
 Coefficient values may be ``float`` (default), or ``int``/``Fraction``
 for an exact arithmetic mode: every operation here uses integer
@@ -54,10 +57,62 @@ def _check_finite(occ, value: Number) -> None:
         raise ValueError(f"coefficient at {occ} is not finite: {value!r}")
 
 
-class SymTensor:
+class _CanonicalTensor:
+    """Canonical sparse storage and the linear algebra both kinds share.
+
+    A subclass fixes the key shape: it validates keys in ``__init__``,
+    wraps computed coefficients in ``_trusted``, reports its shape tuple
+    and gives the integer multinomial weight of a key, the number of
+    ordered tuples that key stands for.
+    """
+
+    __slots__ = ("dim", "_coeffs")
+
+    def items(self):
+        return self._coeffs.items()
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self._shape() == other._shape()
+            and self._coeffs == other._coeffs
+        )
+
+    def _check_compatible(self, other) -> None:
+        # inner and max_coeff_diff call this unbound, so self is checked too
+        if not isinstance(self, _CanonicalTensor) or not isinstance(other, type(self)):
+            kinds = f"{type(self).__name__} and {type(other).__name__}"
+            raise TypeError(f"expected two tensors of one kind, got {kinds}")
+        if self._shape() != other._shape():
+            raise ValueError(f"shape mismatch: {self!r} vs {other!r}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        data = dict(self._coeffs)
+        for key, v in other._coeffs.items():
+            data[key] = data.get(key, 0) + v
+        return self._trusted(*self._shape(), data)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c: Number):
+        return self._trusted(*self._shape(), {key: c * v for key, v in self._coeffs.items()})
+
+    def norm(self) -> float:
+        return math.sqrt(float(self.norm_sq()))
+
+
+class SymTensor(_CanonicalTensor):
     """Fully symmetric tensor of a fixed order over a d-dimensional basis."""
 
-    __slots__ = ("dim", "order", "_coeffs")
+    __slots__ = ("order",)
 
     def __init__(
         self, dim: int, order: int, coeffs: Mapping[tuple[int, ...], Number] | None = None
@@ -91,22 +146,13 @@ class SymTensor:
         t._coeffs = {occ: v for occ, v in data.items() if v != 0}
         return t
 
+    def _shape(self) -> tuple[int, int]:
+        return (self.dim, self.order)
+
+    _weight = staticmethod(multiplicity)
+
     def get(self, key: Sequence[int]) -> Number:
         return self._coeffs.get(tuple(key), 0)
-
-    def items(self):
-        return self._coeffs.items()
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymTensor)
-            and self.dim == other.dim
-            and self.order == other.order
-            and self._coeffs == other._coeffs
-        )
 
     def __repr__(self) -> str:
         return f"SymTensor(dim={self.dim}, order={self.order}, nnz={len(self._coeffs)})"
@@ -131,36 +177,6 @@ class SymTensor:
         return cls(dim, order, {tuple(occ): 1})
 
     # ------------------------------------------------------------------
-    # linear-space operations
-
-    def _check_compatible(self, other: "SymTensor") -> None:
-        if not isinstance(other, SymTensor):
-            raise TypeError(f"expected SymTensor, got {type(other).__name__}")
-        if self.dim != other.dim or self.order != other.order:
-            raise ValueError(
-                f"shape mismatch: (dim={self.dim}, order={self.order}) vs "
-                f"(dim={other.dim}, order={other.order})"
-            )
-
-    def __add__(self, other: "SymTensor") -> "SymTensor":
-        self._check_compatible(other)
-        data = dict(self._coeffs)
-        for occ, v in other._coeffs.items():
-            data[occ] = data.get(occ, 0) + v
-        return SymTensor._trusted(self.dim, self.order, data)
-
-    def __sub__(self, other: "SymTensor") -> "SymTensor":
-        return self + (-other)
-
-    def __neg__(self) -> "SymTensor":
-        return self.scale(-1)
-
-    def scale(self, c: Number) -> "SymTensor":
-        return SymTensor._trusted(
-            self.dim, self.order, {occ: c * v for occ, v in self._coeffs.items()}
-        )
-
-    # ------------------------------------------------------------------
     # metric and slices
 
     def norm_sq(self) -> Number:
@@ -169,9 +185,6 @@ class SymTensor:
         for occ, v in self._coeffs.items():
             total += multiplicity(occ) * v * v
         return total
-
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
 
     def slice(self, i: int) -> "SymTensor":
         """Order-lowering coordinate slice.
@@ -193,7 +206,7 @@ class SymTensor:
         return SymTensor._trusted(self.dim, self.order - 1, data)
 
 
-class BiSymTensor:
+class BiSymTensor(_CanonicalTensor):
     """Tensor symmetric separately in a left and a right block of slots.
 
     This is the shape produced by contracting two symmetric tensors:
@@ -202,7 +215,7 @@ class BiSymTensor:
     pairs (left occupation, right occupation).
     """
 
-    __slots__ = ("dim", "left_order", "right_order", "_coeffs")
+    __slots__ = ("left_order", "right_order")
 
     def __init__(
         self,
@@ -240,23 +253,15 @@ class BiSymTensor:
         t._coeffs = {key: v for key, v in data.items() if v != 0}
         return t
 
+    def _shape(self) -> tuple[int, int, int]:
+        return (self.dim, self.left_order, self.right_order)
+
+    @staticmethod
+    def _weight(key) -> int:
+        return multiplicity(key[0]) * multiplicity(key[1])
+
     def get(self, left: Sequence[int], right: Sequence[int]) -> Number:
         return self._coeffs.get((tuple(left), tuple(right)), 0)
-
-    def items(self):
-        return self._coeffs.items()
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiSymTensor)
-            and self.dim == other.dim
-            and self.left_order == other.left_order
-            and self.right_order == other.right_order
-            and self._coeffs == other._coeffs
-        )
 
     def __repr__(self) -> str:
         return (
@@ -264,42 +269,11 @@ class BiSymTensor:
             f"{self.right_order}), nnz={len(self._coeffs)})"
         )
 
-    def __add__(self, other: "BiSymTensor") -> "BiSymTensor":
-        self._check_compatible(other)
-        data = dict(self._coeffs)
-        for key, v in other._coeffs.items():
-            data[key] = data.get(key, 0) + v
-        return BiSymTensor._trusted(self.dim, self.left_order, self.right_order, data)
-
-    def __sub__(self, other: "BiSymTensor") -> "BiSymTensor":
-        return self + other.scale(-1)
-
-    def scale(self, c: Number) -> "BiSymTensor":
-        return BiSymTensor._trusted(
-            self.dim,
-            self.left_order,
-            self.right_order,
-            {key: c * v for key, v in self._coeffs.items()},
-        )
-
-    def _check_compatible(self, other: "BiSymTensor") -> None:
-        if not isinstance(other, BiSymTensor):
-            raise TypeError(f"expected BiSymTensor, got {type(other).__name__}")
-        if (
-            self.dim != other.dim
-            or self.left_order != other.left_order
-            or self.right_order != other.right_order
-        ):
-            raise ValueError("block tensor shape mismatch")
-
     def norm_sq(self) -> Number:
         total: Number = 0
         for (a, b), v in self._coeffs.items():
             total += multiplicity(a) * multiplicity(b) * v * v
         return total
-
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq()))
 
 
 # ----------------------------------------------------------------------
@@ -309,29 +283,18 @@ class BiSymTensor:
 def inner(a, b) -> Number:
     """Scalar product in H^(x)k, summing over ordered tuples.
 
-    Accepts a pair of SymTensor or a pair of BiSymTensor with matching
-    shapes; the multinomial weights account for the ordered-tuple
-    expansion of the canonical storage.
+    Accepts two tensors of the same kind and shape; the multinomial
+    weights account for the ordered-tuple expansion of the canonical
+    storage.
     """
-    if isinstance(a, SymTensor) and isinstance(b, SymTensor):
-        a._check_compatible(b)
-        small, big = (a, b) if len(a) <= len(b) else (b, a)
-        total: Number = 0
-        for occ, v in small.items():
-            w = big.get(occ)
-            if w:
-                total += multiplicity(occ) * v * w
-        return total
-    if isinstance(a, BiSymTensor) and isinstance(b, BiSymTensor):
-        a._check_compatible(b)
-        small, big = (a, b) if len(a) <= len(b) else (b, a)
-        total = 0
-        for (lo, ro), v in small.items():
-            w = big.get(lo, ro)
-            if w:
-                total += multiplicity(lo) * multiplicity(ro) * v * w
-        return total
-    raise TypeError("inner expects two SymTensor or two BiSymTensor")
+    _CanonicalTensor._check_compatible(a, b)
+    small, big = (a, b) if len(a) <= len(b) else (b, a)
+    total: Number = 0
+    for key, v in small.items():
+        w = big._coeffs.get(key)
+        if w:
+            total += small._weight(key) * v * w
+    return total
 
 
 def contract(f: SymTensor, g: SymTensor, r: int) -> BiSymTensor:
@@ -403,15 +366,11 @@ def symmetrize(t: BiSymTensor) -> SymTensor:
 
 def max_coeff_diff(a, b) -> float:
     """Largest absolute coefficient difference between two like tensors."""
-    if isinstance(a, SymTensor) and isinstance(b, SymTensor):
-        a._check_compatible(b)
-        keys = set(a._coeffs) | set(b._coeffs)
-        return max((abs(float(a.get(k) - b.get(k))) for k in keys), default=0.0)
-    if isinstance(a, BiSymTensor) and isinstance(b, BiSymTensor):
-        a._check_compatible(b)
-        keys = set(a._coeffs) | set(b._coeffs)
-        return max((abs(float(a.get(*k) - b.get(*k))) for k in keys), default=0.0)
-    raise TypeError("max_coeff_diff expects two SymTensor or two BiSymTensor")
+    _CanonicalTensor._check_compatible(a, b)
+    keys = set(a._coeffs) | set(b._coeffs)
+    return max(
+        (abs(float(a._coeffs.get(k, 0) - b._coeffs.get(k, 0))) for k in keys), default=0.0
+    )
 
 
 # ----------------------------------------------------------------------
@@ -466,14 +425,12 @@ def tensor_from_dict(obj: dict) -> SymTensor:
     dim = int(obj["dim"])
     order = int(obj["order"])
     data: dict[tuple[int, ...], Number] = {}
-    seen: set[tuple[int, ...]] = set()
     for entry in obj["entries"]:
         occ = tuple(int(a) for a in entry["occupation"])
-        if occ in seen:
+        if occ in data:
             raise ValueError(f"duplicate canonical entry for occupation {occ}")
-        seen.add(occ)
-        _as_occ(occ, dim, order)
         data[occ] = float(entry["coeff"])
+    # the constructor validates every key and value
     return SymTensor(dim, order, data)
 
 

@@ -153,6 +153,14 @@ class TestVerify:
         assert captured.err.startswith("error:") and "--seeds" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "structured", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, fmt):
+        code, out = run_cli(capsys, "verify", "--seeds", "1", "--seed", "3", "--format", fmt)
+        path = tmp_path / "verify.out"
+        argv = ["verify", "--seeds", "1", "--seed", "3", "--format", fmt, "--out", str(path)]
+        assert run_cli(capsys, *argv) == (code, "")
+        assert path.read_bytes() == out.encode()
+
     def test_non_finite_route_fails_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "edet_theorem", lambda pair: float("nan"))
         code, out = run_cli(capsys, "verify", "--seeds", "1")
@@ -222,6 +230,7 @@ def pair_files(tmp_path):
     return paths
 
 
+NEGATIVE_SEED = "--seed must be >= 0, got -1"
 BAD_INPUTS = {
     "report-no-pair": (["report"], "two tensor files"),
     "mc-no-pair": (["mc", "--trials", "10"], "two tensor files"),
@@ -237,6 +246,16 @@ BAD_INPUTS = {
     "density-tol-nan-mixed-orders": (
         ["density", "--random", "--n", "2", "--m", "3", "--tol", "nan"], "tol"
     ),
+    "report-workers-0-no-trials": (["report", "--random", "--workers", "0"], "workers"),
+    "report-chunk-size-0-no-trials": (["report", "--random", "--chunk-size", "0"], "chunk_size"),
+    # a negative seed is rejected before the subcommand runs, also where it goes unused
+    "gen-negative-seed": (
+        ["gen", "--dim", "2", "--order", "2", "--seed", "-1", "--out", "{f}"], NEGATIVE_SEED
+    ),
+    "report-negative-seed": (["report", "{f}", "{g}", "--seed", "-1"], NEGATIVE_SEED),
+    "mc-negative-seed": (["mc", "--random", "--trials", "10", "--seed", "-1"], NEGATIVE_SEED),
+    "density-negative-seed": (["density", "--random", "--seed", "-1"], NEGATIVE_SEED),
+    "verify-negative-seed": (["verify", "--seeds", "1", "--seed", "-1"], NEGATIVE_SEED),
 }
 
 

@@ -471,6 +471,19 @@ class TestReport:
         with pytest.raises(ValueError, match="trials"):
             build_report(pair, trials=-5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"workers": 0}, "workers must be >= 1, got 0"),
+         ({"workers": -2}, "workers must be >= 1, got -2"),
+         ({"chunk_size": 0}, "chunk_size must be >= 1, got 0")],
+    )
+    def test_bad_sampling_args_rejected_on_every_path(self, kwargs, message):
+        # with and without trials, inside the guard and past it
+        for pair in (unit_pair(24, 2, 2, 2), unit_pair(24, 6, 2, 2)):
+            for trials in (0, 100):
+                with pytest.raises(ValueError, match=message):
+                    build_report(pair, trials=trials, **kwargs)
+
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_bad_tolerance_rejected_on_every_path(self, tol):
         # also where no verdict would be computed: mixed orders, past the guard

@@ -202,6 +202,52 @@ class TestArithmetic:
             random_sym_tensor(0, 2, 2, dist="cauchy")
 
 
+def _block(seed, dim, left, right):
+    f = random_sym_tensor(seed, dim, left + 1)
+    return contract(f, random_sym_tensor(seed + 1, dim, right + 1), 1)
+
+
+class TestOperandChecks:
+    # each case: (tensor, same kind of another shape, the other kind)
+    CASES = {
+        "sym": lambda: (random_sym_tensor(0, 2, 2), random_sym_tensor(1, 2, 3), _block(2, 2, 1, 1)),
+        "sym-dim": lambda: (random_sym_tensor(0, 2, 2), random_sym_tensor(1, 3, 2), _block(2, 2, 1, 1)),
+        "bisym": lambda: (_block(0, 2, 1, 1), _block(2, 2, 1, 2), random_sym_tensor(1, 2, 2)),
+        "bisym-dim": lambda: (_block(0, 2, 1, 1), _block(2, 3, 1, 1), random_sym_tensor(1, 2, 2)),
+    }
+    OPS = {
+        "inner": inner,
+        "max_coeff_diff": max_coeff_diff,
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+    }
+
+    @pytest.mark.parametrize("op", OPS.values(), ids=OPS.keys())
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_kind_and_shape(self, case, op):
+        t, other_shape, other_kind = case()
+        with pytest.raises(ValueError, match="shape mismatch"):
+            op(t, other_shape)
+        with pytest.raises(TypeError):
+            op(t, other_kind)
+        with pytest.raises(TypeError):
+            op(other_kind, t)
+
+    @pytest.mark.parametrize("op", [inner, max_coeff_diff])
+    def test_non_tensor_rejected(self, op):
+        with pytest.raises(TypeError):
+            op(1.0, random_sym_tensor(0, 2, 2))
+        with pytest.raises(TypeError):
+            op(random_sym_tensor(0, 2, 2), 1.0)
+
+    def test_equality_needs_kind_and_shape(self):
+        t = random_sym_tensor(0, 2, 2)
+        assert t == random_sym_tensor(0, 2, 2)
+        assert t != SymTensor(2, 3) and SymTensor(2, 2) != SymTensor(2, 3)
+        assert SymTensor(2, 0) != BiSymTensor(2, 0, 0)
+        assert _block(0, 2, 1, 1) == _block(0, 2, 1, 1) != _block(0, 2, 1, 1).scale(2.0)
+
+
 class TestBiSymTensor:
     def test_norm_with_multiplicities(self):
         t = BiSymTensor(2, 1, 1, {((1, 0), (0, 1)): 2.0})

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -229,6 +231,14 @@ class TestSuite:
         assert len(results) > 2000
         failures = [r.line() for r in results if not r.passed]
         assert not failures, failures[:5]
+
+    def test_golden_bits(self):
+        # recorded over one seed of the default grid: pins inner, max_coeff_diff,
+        # norm_sq, + and scale on both tensor kinds through every checker
+        results = run_suite(seeds=[0])
+        digest = hashlib.sha256(json.dumps([vars(r) for r in results]).encode()).hexdigest()
+        assert len(results) == 250
+        assert digest == "b49912d74b1facee33ebfaf3758af8a8ea85dfe7f47876f5501f92e15f58b92e"
 
     def test_failed_flag(self):
         results = run_suite(seeds=[0], grid=[(2, 1, 1)])
