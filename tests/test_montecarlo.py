@@ -48,6 +48,15 @@ class TestEstimateEdet:
         assert est.mean == float.fromhex("0x1.799b609c23287p+4")
         assert est.stderr == float.fromhex("0x1.c29691743059fp-2")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_golden_bits_past_guard(self, workers):
+        # the mc-past-guard shape (d=6, n=m=4) over two full chunks and a
+        # partial one; recorded values, like test_golden_bits
+        pair = ChaosPair(random_unit_tensor(101, 6, 4), random_unit_tensor(102, 6, 4))
+        est = estimate_edet(pair, 10_000, seed=7, workers=workers)
+        assert est.mean == float.fromhex("0x1.710185a83faaap+15")
+        assert est.stderr == float.fromhex("0x1.e526afdf4e4a6p+12")
+
     def test_chunk_size_is_part_of_the_contract(self):
         pair = small_pair(2)
         a = estimate_edet(pair, 10_000, seed=9, chunk_size=4096)
