@@ -1,7 +1,18 @@
 """Sample-evaluation kernel for the Monte Carlo route.
 
-The accumulation order (over coefficients, then slots) is part of the
-Monte Carlo reproducibility contract: changing it moves result bits.
+The accumulation order is part of the Monte Carlo reproducibility
+contract: each coefficient's term is its weight times its Hermite
+factors in ascending slot order, and the terms are added to the output
+in coefficient order.  Rewrites that keep every result bit:
+
+- skipping the H_0 factors, since H_0 = 1 and x * 1.0 == x exactly;
+- the layout of the Hermite table, which holds the same values either way;
+- fusing the weight into the first factor, since (w * 1.0) * h == w * h.
+
+Rewrites that move result bits, and so break the contract: applying the
+weight after the factors instead of before them, reassociating the
+products or the sum over coefficients, and handing the sum to BLAS
+(a matrix product accumulates in its own order).
 """
 from __future__ import annotations
 
@@ -32,14 +43,20 @@ def eval_many(occ: np.ndarray, weights: np.ndarray, samples: np.ndarray) -> np.n
     occ = np.asarray(occ, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     samples = np.asarray(samples, dtype=np.float64)
-    n_samples, dim = samples.shape
+    n_samples = samples.shape[0]
     out = np.zeros(n_samples, dtype=np.float64)
     if occ.shape[0] == 0:
         return out
-    table = hermite_table(int(occ.max()), samples)  # (K, n_samples, dim)
-    for j in range(occ.shape[0]):
-        term = np.full(n_samples, weights[j])
-        for i in range(dim):
-            term *= table[occ[j, i], :, i]
+    # (K, dim, n_samples): every row the loop reads is contiguous
+    table = hermite_table(int(occ.max()), samples.T)
+    term = np.empty(n_samples, dtype=np.float64)
+    for row, w in zip(occ.tolist(), weights.tolist()):
+        factors = [table[a, i] for i, a in enumerate(row) if a]
+        if not factors:
+            term.fill(w)
+        else:
+            np.multiply(w, factors[0], out=term)
+            for h in factors[1:]:
+                term *= h
         out += term
     return out

@@ -43,6 +43,9 @@ from .tensors import Number, SymTensor, contract, inner, symmetrize
 # changes every default Monte Carlo output.
 DEFAULT_CHUNK_SIZE = 4096
 
+# seeds key Philox as one 64-bit word
+SEED_BOUND = 2**64
+
 
 def hermite(n: int, x: Number) -> Number:
     """Probabilists' Hermite polynomial H_n(x).
@@ -87,8 +90,8 @@ class GaussianSample:
 
 
 def _philox(seed: int, stream: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < SEED_BOUND:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .chaos import DEFAULT_CHUNK_SIZE
+from .chaos import DEFAULT_CHUNK_SIZE, SEED_BOUND
 from .malliavin import ChaosPair, OutsideDecidedRange, build_report, density_verdict
 from .montecarlo import estimate_edet
 from .tensors import load_tensor, random_unit_tensor, save_tensor
@@ -252,9 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # numpy's own errors would name neither the option nor the value
         if args.seed < 0:
-            # numpy's own message would name neither the option nor the value
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.seed >= SEED_BOUND:
+            raise ValueError(f"--seed must be < 2**64, got {args.seed}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ ordered tuples directly: contraction by tensordot over leading axes,
 symmetrization by explicit permutation averaging, evaluation by brute
 sums over ordered index tuples.  Deliberately slow and independent of
 the canonical-storage code paths it is used to check.
+
+``eval_many_loop`` is the Monte Carlo kernel as a plain loop over
+coefficients and slots; it fixes the bits ``_kernels.eval_many`` must
+reproduce.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ import math
 
 import numpy as np
 
+from chaosdet._kernels import hermite_table
 from chaosdet.chaos import hermite
 from chaosdet.tensors import BiSymTensor, SymTensor
 
@@ -79,3 +84,21 @@ def dense_eval(a: np.ndarray, xi) -> float:
                 term *= hermite(c, float(xi[i]))
         total += term
     return total
+
+
+def eval_many_loop(occ: np.ndarray, weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Reference for _kernels.eval_many: one full-width product per coefficient."""
+    occ = np.asarray(occ, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
+    n_samples, dim = samples.shape
+    out = np.zeros(n_samples, dtype=np.float64)
+    if occ.shape[0] == 0:
+        return out
+    table = hermite_table(int(occ.max()), samples)  # (K, n_samples, dim)
+    for j in range(occ.shape[0]):
+        term = np.full(n_samples, weights[j])
+        for i in range(dim):
+            term *= table[occ[j, i], :, i]
+        out += term
+    return out

@@ -190,3 +190,10 @@ class TestSampling:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             sample(-1, 2)
+
+    def test_seed_is_one_64_bit_word(self):
+        # Philox keys hold the seed in one uint64: the top seed draws,
+        # the next one is a ValueError rather than numpy's OverflowError
+        assert sample(2**64 - 1, 2) != sample(0, 2)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            sample(2**64, 2)

@@ -180,6 +180,16 @@ class TestMc:
         assert q["edet_mc_ci95"][0] <= q["edet_mc_mean"] <= q["edet_mc_ci95"][1]
 
 
+    @pytest.mark.parametrize("command", ["mc", "report"])
+    def test_top_seed_runs(self, capsys, command):
+        code, out = run_cli(
+            capsys, command, "--random", "--dim", "2", "--n", "2", "--m", "2",
+            "--trials", "10", "--seed", str(2**64 - 1),
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 2**64 - 1
+
+
 class TestDensity:
     def test_verdict_record(self, tmp_path, capsys):
         f = random_unit_tensor(2, 2, 3)
@@ -231,6 +241,7 @@ def pair_files(tmp_path):
 
 
 NEGATIVE_SEED = "--seed must be >= 0, got -1"
+HUGE_SEED = "--seed must be < 2**64, got 18446744073709551616"
 BAD_INPUTS = {
     "report-no-pair": (["report"], "two tensor files"),
     "mc-no-pair": (["mc", "--trials", "10"], "two tensor files"),
@@ -256,6 +267,14 @@ BAD_INPUTS = {
     "mc-negative-seed": (["mc", "--random", "--trials", "10", "--seed", "-1"], NEGATIVE_SEED),
     "density-negative-seed": (["density", "--random", "--seed", "-1"], NEGATIVE_SEED),
     "verify-negative-seed": (["verify", "--seeds", "1", "--seed", "-1"], NEGATIVE_SEED),
+    # Philox keys hold the seed in one uint64
+    "gen-huge-seed": (
+        ["gen", "--dim", "2", "--order", "2", "--seed", str(2**64), "--out", "{f}"], HUGE_SEED
+    ),
+    "report-huge-seed": (["report", "--random", "--trials", "10", "--seed", str(2**64)], HUGE_SEED),
+    "mc-huge-seed": (["mc", "--random", "--trials", "10", "--seed", str(2**64)], HUGE_SEED),
+    "density-huge-seed": (["density", "--random", "--seed", str(2**64)], HUGE_SEED),
+    "verify-huge-seed": (["verify", "--seeds", "1", "--seed", str(2**64)], HUGE_SEED),
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from chaosdet.malliavin import ChaosPair, edet_closed
@@ -72,6 +74,11 @@ class TestEstimateEdet:
     def test_rejects_tiny_sample_counts(self):
         with pytest.raises(ValueError):
             estimate_edet(small_pair(0), 1, seed=0)
+
+    def test_two_samples_are_enough(self):
+        est = estimate_edet(small_pair(0), 2, seed=0)
+        assert est.n_samples == 2
+        assert math.isfinite(est.mean) and math.isfinite(est.stderr)
 
     def test_estimator_consistency_across_seeds(self):
         # |mean - exact| <= 4 stderr for (nearly) every seed
