@@ -34,7 +34,7 @@ from .malliavin import (
     term_T_k,
 )
 from .montecarlo import McEstimate, estimate_edet
-from .multiindex import multiplicity, num_occupations, occupations
+from .multiindex import multiplicity, occupations
 from .tensors import (
     BiSymTensor,
     SymTensor,
@@ -46,7 +46,7 @@ from .tensors import (
     save_tensor,
     symmetrize,
 )
-from .verify import CheckResult, GuardExceeded, oracle_edet, run_suite
+from .verify import CheckResult, oracle_edet, run_suite
 
 __all__ = [
     "__version__",
@@ -56,7 +56,6 @@ __all__ = [
     "CheckResult",
     "DensityVerdict",
     "GaussianSample",
-    "GuardExceeded",
     "MalliavinReport",
     "McEstimate",
     "SymTensor",
@@ -75,7 +74,6 @@ __all__ = [
     "load_tensor",
     "malliavin_slices",
     "multiplicity",
-    "num_occupations",
     "occupations",
     "oracle_edet",
     "product",

@@ -155,10 +155,6 @@ class ChaosExpansion:
         """The single multiple integral of f (order = f.order)."""
         return cls(f.dim, {f.order: f})
 
-    @classmethod
-    def constant(cls, dim: int, value: Number) -> "ChaosExpansion":
-        return cls(dim, {0: SymTensor.constant(dim, value)})
-
     @property
     def terms(self) -> Mapping[int, SymTensor]:
         return MappingProxyType(self._terms)
@@ -185,22 +181,6 @@ class ChaosExpansion:
         for order, tensor in other._terms.items():
             data[order] = data[order] + tensor if order in data else tensor
         return ChaosExpansion(self.dim, data)
-
-    def __sub__(self, other: "ChaosExpansion") -> "ChaosExpansion":
-        return self + other.scale(-1)
-
-    def scale(self, c: Number) -> "ChaosExpansion":
-        return ChaosExpansion(
-            self.dim, {order: tensor.scale(c) for order, tensor in self._terms.items()}
-        )
-
-    def eval(self, s: GaussianSample) -> Number:
-        if s.dim != self.dim:
-            raise ValueError(f"sample dim {s.dim} does not match expansion dim {self.dim}")
-        total: Number = 0
-        for tensor in self._terms.values():
-            total += eval_integral(tensor, s)
-        return total
 
     def expectation(self) -> Number:
         """Expected value: the order-0 coefficient (higher orders are centered)."""

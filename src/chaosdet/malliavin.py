@@ -184,16 +184,6 @@ def t0_contraction(pair: ChaosPair) -> Number:
     return total
 
 
-def contraction_inequality_sum(pair: ChaosPair) -> Number:
-    """sum_r C(n-1,r) C(m-1,r) (|f (x)_r g|^2 - |f (x)_{r+1} g|^2); >= 0."""
-    n, m = pair.n, pair.m
-    norms = contraction_norms_sq(pair)
-    total: Number = 0
-    for r in range(min(n - 1, m - 1) + 1):
-        total += math.comb(n - 1, r) * math.comb(m - 1, r) * (norms[r] - norms[r + 1])
-    return total
-
-
 def edet_theorem(pair: ChaosPair) -> Number:
     """E det L as contraction-form T_0 plus the remainder sum."""
     return t0_contraction(pair) + r_term(pair)
@@ -384,7 +374,7 @@ def build_report(
         report.t0_contraction = float(t0_contraction(pair))
         report.edet_closed = float(sum(terms))
         report.edet_theorem = float(edet_theorem(pair))
-        report.edet_oracle = float(oracle_edet(pair, unsafe=unsafe))
+        report.edet_oracle = float(oracle_edet(pair))
         if pair.n == pair.m:
             parts = edet_same_chaos(pair)
             report.same_chaos = (

@@ -23,11 +23,6 @@ def multiplicity(occ: Sequence[int]) -> int:
     return m
 
 
-def num_occupations(dim: int, order: int) -> int:
-    """Number of occupation vectors of the given order (stars and bars)."""
-    return math.comb(dim + order - 1, order)
-
-
 def occupations(dim: int, order: int) -> Iterator[tuple[int, ...]]:
     """Yield all occupation vectors in ascending lexicographic order."""
     if dim < 1:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
@@ -161,15 +162,6 @@ class SymTensor(_CanonicalTensor):
     # constructors
 
     @classmethod
-    def zeros(cls, dim: int, order: int) -> "SymTensor":
-        return cls(dim, order)
-
-    @classmethod
-    def constant(cls, dim: int, value: Number) -> "SymTensor":
-        """Order-0 tensor holding a single scalar."""
-        return cls(dim, 0, {(0,) * dim: value})
-
-    @classmethod
     def basis_power(cls, dim: int, i: int, order: int) -> "SymTensor":
         """The elementary tensor e_i^(x)order."""
         occ = [0] * dim
@@ -259,9 +251,6 @@ class BiSymTensor(_CanonicalTensor):
     @staticmethod
     def _weight(key) -> int:
         return multiplicity(key[0]) * multiplicity(key[1])
-
-    def get(self, left: Sequence[int], right: Sequence[int]) -> Number:
-        return self._coeffs.get((tuple(left), tuple(right)), 0)
 
     def __repr__(self) -> str:
         return (
@@ -418,18 +407,29 @@ def tensor_to_dict(t: SymTensor) -> dict:
     return {"dim": t.dim, "order": t.order, "entries": entries}
 
 
+def _json(value, what: str, *kinds: type):
+    # exact types: int() would read 2.7 as 2, and a JSON true is a Python int
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"{what} must be a JSON {names}, got {value!r}")
+    return value
+
+
 def tensor_from_dict(obj: dict) -> SymTensor:
-    missing = [k for k in FORMAT_KEYS if k not in obj]
+    missing = [k for k in FORMAT_KEYS if k not in _json(obj, "tensor record", dict)]
     if missing:
         raise ValueError(f"tensor record is missing keys {missing}")
-    dim = int(obj["dim"])
-    order = int(obj["order"])
+    dim = _json(obj["dim"], "dim", int)
+    order = _json(obj["order"], "order", int)
     data: dict[tuple[int, ...], Number] = {}
-    for entry in obj["entries"]:
-        occ = tuple(int(a) for a in entry["occupation"])
+    for entry in _json(obj["entries"], "entries", list):
+        occupation = _json(_json(entry, "entry", dict).get("occupation"), "occupation", list)
+        occ = tuple(_json(a, "occupation entry", int) for a in occupation)
+        coeff = _json(entry.get("coeff"), f"coeff at {occ}", float, int)
         if occ in data:
             raise ValueError(f"duplicate canonical entry for occupation {occ}")
-        data[occ] = float(entry["coeff"])
+        # an integer past the float range reads as inf, which the constructor rejects
+        data[occ] = math.inf if abs(coeff) > sys.float_info.max else float(coeff)
     # the constructor validates every key and value
     return SymTensor(dim, order, data)
 

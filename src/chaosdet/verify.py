@@ -12,19 +12,19 @@ slices and reads the expectation of the determinant
 |DF|^2 |DG|^2 - <DF, DG>^2 by the Wiener-Ito isometry, the order-0 term
 of the chaos product.  No closed-form term from :mod:`chaosdet.malliavin`
 is involved, which is what makes the route agreement checks meaningful.
+Like the closed-form routes it runs at any size; ``within_guard`` is the
+policy by which ``build_report`` decides whether the exact routes run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .chaos import ChaosExpansion, expectation_of_product, product, sample
+from .chaos import SEED_BOUND, ChaosExpansion, expectation_of_product, product, sample
 from .malliavin import (
     ChaosPair,
     DensityVerdict,
-    contraction_inequality_sum,
     covariance,
     density_verdict,
     det_lambda_at,
@@ -44,8 +44,8 @@ from .tensors import (
     symmetrize,
 )
 
-# Exact chaos-algebra routes stay cheap up to these sizes; beyond them use
-# the Monte Carlo route.
+# build_report runs the exact routes up to these sizes (unless unsafe);
+# beyond them it falls back to the Monte Carlo route.
 GUARD_MAX_DIM = 5
 GUARD_MAX_ORDER = 4
 
@@ -56,10 +56,6 @@ TOL_COEFF = 1e-12
 TOL_SCALAR = 1e-10
 TOL_POINTWISE = 1e-9
 TOL_EXPECTATION = 1e-8
-
-
-class GuardExceeded(ValueError):
-    """Exact computation would be too large; use the Monte Carlo route."""
 
 
 @dataclass
@@ -133,34 +129,15 @@ def within_guard(dim: int, n: int, m: int) -> bool:
     return dim <= GUARD_MAX_DIM and n <= GUARD_MAX_ORDER and m <= GUARD_MAX_ORDER
 
 
-def check_guard(dim: int, n: int, m: int) -> None:
-    if not within_guard(dim, n, m):
-        raise GuardExceeded(
-            f"exact route guard exceeded (dim={dim}, orders=({n}, {m}); "
-            f"limits dim <= {GUARD_MAX_DIM}, orders <= {GUARD_MAX_ORDER}); "
-            "use the Monte Carlo estimator instead"
-        )
-
-
-def oracle_edet(pair: ChaosPair, *, unsafe: bool = False):
+def oracle_edet(pair: ChaosPair):
     """E det L through chaos products only (no closed-form terms)."""
-    if not unsafe:
-        check_guard(pair.dim, pair.n, pair.m)
+    # an empty slice gives an empty expansion, whose products are empty too
     zero = ChaosExpansion(pair.dim)
-    df = [ChaosExpansion.of(t) if len(t) else None for t in pair.slices_f]
-    dg = [ChaosExpansion.of(t) if len(t) else None for t in pair.slices_g]
-
-    def accumulate(parts: Iterable[Optional[ChaosExpansion]]) -> ChaosExpansion:
-        return reduce(
-            lambda acc, p: acc + p if p is not None else acc, parts, zero
-        )
-
-    norm_df = accumulate(product(x, x) if x is not None else None for x in df)
-    norm_dg = accumulate(product(y, y) if y is not None else None for y in dg)
-    cross = accumulate(
-        product(x, y) if x is not None and y is not None else None
-        for x, y in zip(df, dg)
-    )
+    df = [ChaosExpansion.of(t) for t in pair.slices_f]
+    dg = [ChaosExpansion.of(t) for t in pair.slices_g]
+    norm_df = sum((product(x, x) for x in df), zero)
+    norm_dg = sum((product(y, y) for y in dg), zero)
+    cross = sum((product(x, y) for x, y in zip(df, dg)), zero)
     return expectation_of_product(norm_df, norm_dg) - expectation_of_product(cross, cross)
 
 
@@ -258,7 +235,8 @@ def check_det_sum_of_squares(
     pair = _pair(seed * 7 + 1, d, n, m)
     results = []
     for j in range(n_points):
-        s = sample(seed * 31 + j, d)
+        # reduced to the Philox key range, so every --seed the CLI accepts runs
+        s = sample((seed * 31 + j) % SEED_BOUND, d)
         gram, sos = det_lambda_at(pair, s)
         sf = [eval_integral(t, s) for t in pair.slices_f]
         sg = [eval_integral(t, s) for t in pair.slices_g]
@@ -337,9 +315,10 @@ def check_last_term_closed_form(seed: int, d: int = 3, m: int = 3) -> CheckResul
 
 
 def check_contraction_inequality(seed: int, d: int = 3, n: int = 3, m: int = 3) -> CheckResult:
-    """The weighted telescoping contraction-norm sum is non-negative."""
+    """The weighted telescoping contraction-norm sum is non-negative: it is
+    T_0 = n m n! m! sum_r C(n-1,r) C(m-1,r) (|f (x)_r g|^2 - |f (x)_{r+1} g|^2)."""
     pair = _pair(seed * 7 + 7, d, n, m)
-    value = float(contraction_inequality_sum(pair))
+    value = float(t0_contraction(pair))
     shortfall = 0.0 if value >= 0 else -value  # NaN stays NaN and fails
     return _result(
         _id("contraction-inequality", d=d, n=n, m=m),

@@ -16,7 +16,6 @@ from chaosdet.chaos import eval_integral, sample
 from chaosdet.malliavin import (
     ChaosPair,
     DensityVerdict,
-    contraction_inequality_sum,
     covariance,
     density_verdict,
     det_lambda_at,
@@ -256,14 +255,14 @@ def test_criterion_06_last_term_closed_form():
 
 
 def test_criterion_07_nonnegativity():
-    """Telescoping contraction sum and every T_k stay non-negative."""
+    """T_0's telescoping contraction form and every T_k stay non-negative."""
     tol = 1e-12
     worst_sum = 0.0
     worst_term = 0.0
     for seed in range(200):
         d, n, m = GRID[seed % len(GRID)]
         pair = unit_pair(seed * 11 + 3, d, n, m)
-        worst_sum = min(worst_sum, float(contraction_inequality_sum(pair)))
+        worst_sum = min(worst_sum, float(t0_contraction(pair)))
         for k in range(min(n, m)):
             worst_term = min(worst_term, float(term_T_k(pair, k)))
     ok = worst_sum >= -tol and worst_term >= -tol
@@ -271,7 +270,7 @@ def test_criterion_07_nonnegativity():
         7,
         "non-negativity",
         ok,
-        f"min contraction sum {worst_sum:.3g}, min T_k {worst_term:.3g} (floor -{tol:g})",
+        f"min T_0 contraction form {worst_sum:.3g}, min T_k {worst_term:.3g} (floor -{tol:g})",
     )
 
 

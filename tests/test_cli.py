@@ -6,7 +6,7 @@ import pytest
 
 from chaosdet import verify
 from chaosdet.cli import main
-from chaosdet.multiindex import num_occupations
+from chaosdet.multiindex import occupations
 from chaosdet.tensors import load_tensor, random_unit_tensor, save_tensor, tensor_to_dict
 
 
@@ -28,7 +28,7 @@ class TestGen:
         path = tmp_path / "t.json"
         main(["gen", "--dim", "2", "--order", "4", "--seed", "0", "--out", str(path)])
         obj = json.loads(path.read_text())
-        assert len(obj["entries"]) == num_occupations(2, 4) == 5
+        assert len(obj["entries"]) == len(list(occupations(2, 4))) == 5
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.json"
@@ -145,6 +145,14 @@ class TestVerify:
         assert record["failed"] is False
         assert all(c["passed"] for c in record["checks"])
 
+    def test_top_seed_runs(self, capsys):
+        # the suite's derived Philox seeds are reduced into [0, 2**64)
+        code, out = run_cli(
+            capsys, "verify", "--seeds", "1", "--seed", str(2**64 - 1), "--format", "structured"
+        )
+        assert code == 0
+        assert len(json.loads(out)["checks"]) == 250
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_rejects_empty_seed_range(self, capsys, seeds):
         code = main(["verify", "--seeds", seeds])
@@ -240,6 +248,59 @@ def pair_files(tmp_path):
     return paths
 
 
+GOOD = '{"dim": 2, "order": 2, "entries": [{"occupation": [2, 0], "coeff": 1.5}]}'
+ENTRY = '{"occupation": [2, 0], "coeff": 1.5}'
+MALFORMED = {
+    "entry-without-occupation": (
+        GOOD.replace('"occupation": [2, 0], ', ""), "occupation must be a JSON list, got None"
+    ),
+    "entry-without-coeff": (
+        GOOD.replace(', "coeff": 1.5', ""), "must be a JSON float or int, got None"
+    ),
+    "coeff-null": (GOOD.replace("1.5", "null"), "must be a JSON float or int, got None"),
+    "entries-not-a-list": (GOOD.replace(f"[{ENTRY}]", "5"), "entries must be a JSON list, got 5"),
+    "entry-not-an-object": (GOOD.replace(ENTRY, "5"), "entry must be a JSON dict, got 5"),
+    "record-not-an-object": ('["dim", "order", "entries"]', "tensor record must be a JSON dict"),
+    "occupation-not-a-list": (
+        GOOD.replace("[2, 0]", '"20"'), "occupation must be a JSON list, got '20'"
+    ),
+    # int() and float() would read these silently: [2.9, 0] as (2, 0), true as 1, "1.5" as 1.5
+    "occupation-float": (
+        GOOD.replace("[2, 0]", "[2.9, 0]"), "occupation entry must be a JSON int, got 2.9"
+    ),
+    "occupation-bool": (
+        GOOD.replace("[2, 0]", "[true, true]"), "occupation entry must be a JSON int, got True"
+    ),
+    "dim-float": (GOOD.replace('"dim": 2', '"dim": 2.7'), "dim must be a JSON int, got 2.7"),
+    "dim-bool": (GOOD.replace('"dim": 2', '"dim": true'), "dim must be a JSON int, got True"),
+    "order-float": (
+        GOOD.replace('"order": 2', '"order": 2.0'), "order must be a JSON int, got 2.0"
+    ),
+    "coeff-string": (GOOD.replace("1.5", '"1.5"'), "must be a JSON float or int, got '1.5'"),
+    "coeff-bool": (GOOD.replace("1.5", "true"), "must be a JSON float or int, got True"),
+    "coeff-past-float-range": (GOOD.replace("1.5", "1" + "0" * 400), "not finite"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_tensor_file_exits_2(text, message, tmp_path, capsys):
+    # the other file is GOOD, so a misread file cannot fail on a dim mismatch instead
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(text)
+    good.write_text(GOOD)
+    code = main(["density", str(bad), str(good)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and message in captured.err
+    assert captured.out == ""
+
+
+def test_good_record_is_accepted(tmp_path):
+    path = tmp_path / "good.json"
+    path.write_text(GOOD)
+    assert dict(load_tensor(path).items()) == {(2, 0): 1.5}
+
+
 NEGATIVE_SEED = "--seed must be >= 0, got -1"
 HUGE_SEED = "--seed must be < 2**64, got 18446744073709551616"
 BAD_INPUTS = {
@@ -247,6 +308,7 @@ BAD_INPUTS = {
     "mc-no-pair": (["mc", "--trials", "10"], "two tensor files"),
     "density-no-pair": (["density"], "two tensor files"),
     "report-negative-trials": (["report", "--random", "--trials", "-5"], "trials"),
+    "report-one-trial": (["report", "--random", "--trials", "1"], "n_samples must be >= 2"),
     "report-tol-negative": (["report", "{f}", "{g}", "--tol", "-1"], "tol"),
     "report-tol-nan": (["report", "{f}", "{g}", "--tol", "nan"], "tol"),
     "report-tol-inf": (["report", "{h}", "{f}", "--tol", "inf"], "tol"),

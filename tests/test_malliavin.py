@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosdet import malliavin
-from chaosdet.chaos import ChaosExpansion, GaussianSample, product, sample
+from chaosdet import malliavin, verify
+from chaosdet.chaos import ChaosExpansion, GaussianSample, eval_integral, product, sample
 from chaosdet.cli import _emit
 from chaosdet.malliavin import (
     ChaosPair,
     DensityVerdict,
     OutsideDecidedRange,
     build_report,
-    contraction_inequality_sum,
     contraction_norms_sq,
     covariance,
     density_verdict,
@@ -56,7 +55,7 @@ class TestSlices:
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            malliavin_slices(SymTensor.constant(2, 1.0))
+            malliavin_slices(SymTensor(2, 0, {(0, 0): 1.0}))
 
     def test_derivative_norm_squared_pointwise(self):
         # |DF|^2 at a sample is the sum of squared slice evaluations, which
@@ -70,10 +69,9 @@ class TestSlices:
             norm_df = term if norm_df is None else norm_df + term
         for j in range(20):
             point = sample(j, 2)
-            from chaosdet.chaos import eval_integral
-
             direct = sum(eval_integral(s, point) ** 2 for s in pair.slices_f)
-            assert norm_df.eval(point) == pytest.approx(direct, rel=1e-9)
+            via_chaos = sum(eval_integral(t, point) for t in norm_df.terms.values())
+            assert via_chaos == pytest.approx(direct, rel=1e-9)
 
     def test_expected_derivative_norm(self):
         # E |DF|^2 = n * n! * |f|^2, via the chaos oracle
@@ -339,7 +337,21 @@ class TestContractionInequality:
     def test_nonnegative_on_random_pairs(self):
         for seed in range(25):
             pair = unit_pair(seed, 3, 3, 4)
-            assert contraction_inequality_sum(pair) >= -1e-12
+            assert t0_contraction(pair) >= -1e-12
+
+    @pytest.mark.parametrize("d, n, m", [(2, 2, 2), (3, 3, 3), (3, 2, 4), (4, 4, 3)])
+    def test_t0_is_the_weighted_contraction_norm_sum(self, d, n, m):
+        # exact ints: the inequality sum is T_0 over n m n! m!, so the check reads T_0
+        f = random_sym_tensor(d * 100 + n, d, n, dist="int")
+        g = random_sym_tensor(d * 100 + m + 50, d, m, dist="int")
+        norms = [contract(f, g, r).norm_sq() for r in range(min(n, m) + 1)]
+        telescoped = sum(
+            math.comb(n - 1, r) * math.comb(m - 1, r) * (norms[r] - norms[r + 1])
+            for r in range(min(n, m))
+        )
+        value = t0_contraction(ChaosPair(f, g))
+        assert isinstance(value, int)
+        assert value == n * m * math.factorial(n) * math.factorial(m) * telescoped
 
 
 class TestDensityVerdict:
@@ -439,6 +451,17 @@ class TestReport:
         assert report.warnings
         assert report.edet_mc is not None
 
+    def test_past_guard_never_calls_the_oracle(self, monkeypatch):
+        # the guard is build_report's policy: the oracle itself runs at any size
+        def forbidden(pair):
+            raise AssertionError("oracle_edet ran past the guard")
+
+        pair = unit_pair(25, 6, 2, 2)
+        monkeypatch.setattr(verify, "oracle_edet", forbidden)
+        assert build_report(pair, trials=100).edet_oracle is None
+        with pytest.raises(AssertionError, match="past the guard"):
+            build_report(pair, unsafe=True)
+
     def test_mixed_pair_has_no_verdict(self):
         pair = ChaosPair(
             SymTensor.basis_power(2, 0, 2), SymTensor.basis_power(2, 0, 3)
@@ -447,6 +470,12 @@ class TestReport:
         assert report.verdict is None
         assert report.det_c == 12
         assert report.edet_closed == 0.0
+
+    def test_order_five_has_no_verdict(self):
+        # the dichotomy is decided for orders <= 4 only; the other routes still run
+        report = build_report(unit_pair(26, 2, 5, 5), unsafe=True)
+        assert report.verdict is None
+        assert report.same_chaos is not None
 
     def test_text_rendering(self, capsys):
         # reports render as text through the CLI's record writer

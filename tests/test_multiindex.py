@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from chaosdet.multiindex import (
     multiplicity,
-    num_occupations,
     occupations,
     sub_occupations,
 )
@@ -32,18 +31,13 @@ def test_multiplicity_counts_ordered_tuples(occ):
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=6))
 def test_occupations_count_and_validity(dim, order):
     occs = list(occupations(dim, order))
-    assert len(occs) == num_occupations(dim, order)
+    assert len(occs) == math.comb(dim + order - 1, order)  # stars and bars
     assert len(set(occs)) == len(occs)
     assert occs == sorted(occs)
     for occ in occs:
         assert len(occ) == dim
         assert sum(occ) == order
         assert all(a >= 0 for a in occ)
-
-
-def test_num_occupations_examples():
-    assert num_occupations(3, 2) == 6
-    assert num_occupations(2, 4) == 5
 
 
 @given(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaosdet.multiindex import occupations
 from chaosdet.tensors import (
@@ -42,15 +42,15 @@ class TestInner:
         assert inner(f, f) == expected == 0.5
 
     def test_zero_tensor(self):
-        z = SymTensor.zeros(2, 2)
+        z = SymTensor(2, 2)
         g = random_sym_tensor(3, 2, 2)
         assert inner(z, g) == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            inner(SymTensor.zeros(2, 2), SymTensor.zeros(2, 3))
+            inner(SymTensor(2, 2), SymTensor(2, 3))
         with pytest.raises(ValueError):
-            inner(SymTensor.zeros(2, 2), SymTensor.zeros(3, 2))
+            inner(SymTensor(2, 2), SymTensor(3, 2))
 
     def test_matches_dense(self):
         for seed in range(5):
@@ -60,12 +60,16 @@ class TestInner:
             assert inner(f, g) == pytest.approx(dense, rel=1e-12)
 
 
+def block_coeff(t, left, right):
+    return dict(t.items()).get((left, right), 0)
+
+
 class TestContract:
     def test_elementary_order_one(self):
         f = SymTensor.basis_power(2, 0, 2)
         c = contract(f, f, 1)
         assert c.left_order == c.right_order == 1
-        assert c.get((1, 0), (1, 0)) == 1
+        assert block_coeff(c, (1, 0), (1, 0)) == 1
         assert len(c) == 1
 
     def test_full_contraction_is_inner(self):
@@ -73,13 +77,13 @@ class TestContract:
         g = random_sym_tensor(2, 2, 2)
         c = contract(f, g, 2)
         zero = (0, 0)
-        assert c.get(zero, zero) == pytest.approx(inner(f, g), rel=1e-12)
+        assert block_coeff(c, zero, zero) == pytest.approx(inner(f, g), rel=1e-12)
 
     def test_outer_product(self):
         f = SymTensor.basis_power(2, 0, 1)
         g = SymTensor.basis_power(2, 1, 1)
         c = contract(f, g, 0)
-        assert c.get((1, 0), (0, 1)) == 1
+        assert block_coeff(c, (1, 0), (0, 1)) == 1
 
     def test_r_out_of_range(self):
         f = random_sym_tensor(0, 2, 2)
@@ -90,7 +94,7 @@ class TestContract:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            contract(SymTensor.zeros(2, 1), SymTensor.zeros(3, 1), 0)
+            contract(SymTensor(2, 1), SymTensor(3, 1), 0)
 
     def test_matches_dense_nested_loops(self):
         # ordered-tuple oracle: sum over all 2^4 index combinations
@@ -103,13 +107,13 @@ class TestContract:
                 expected = sum(fd[i, j] * gd[i, k] for i in range(2))
                 occ_j = tuple(1 if t == j else 0 for t in range(2))
                 occ_k = tuple(1 if t == k else 0 for t in range(2))
-                assert c.get(occ_j, occ_k) == expected
+                assert block_coeff(c, occ_j, occ_k) == expected
 
 
 class TestSymmetrize:
     def test_identity_on_symmetric_block(self):
         f = SymTensor.basis_power(2, 0, 2)
-        block = contract(f, SymTensor.constant(2, 1), 0)
+        block = contract(f, SymTensor(2, 0, {(0, 0): 1}), 0)
         assert symmetrize(block) == f
 
     def test_two_slot_average(self):
@@ -149,7 +153,7 @@ class TestSlice:
 
     def test_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            SymTensor.constant(2, 1.0).slice(0)
+            SymTensor(2, 0, {(0, 0): 1.0}).slice(0)
 
     def test_slices_reassemble_exactly(self):
         # sum_i e_i (x) slice(i) = order * tensor: the block coefficient of
@@ -385,6 +389,19 @@ class TestExactMode:
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
         t = random_unit_tensor(3, 3, 2)
+        path = tmp_path / "t.json"
+        save_tensor(t, path)
+        assert load_tensor(path) == t
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), dim=st.integers(1, 4), order=st.integers(0, 4))
+    def test_everything_saved_loads_back(self, tmp_path, data, dim, order):
+        coeffs = data.draw(st.dictionaries(
+            st.sampled_from(list(occupations(dim, order))),
+            st.floats(allow_nan=False, allow_infinity=False) | st.integers(-9, 9),
+        ))
+        t = SymTensor(dim, order, coeffs)
         path = tmp_path / "t.json"
         save_tensor(t, path)
         assert load_tensor(path) == t
