@@ -24,9 +24,31 @@ for an exact arithmetic mode: every operation here uses integer
 combinatorial weights and exact rational division, so tensors with
 rational coefficients propagate exactly.  The exact mode backs the
 tolerance-free cross-checks in the test suite.
+
+Tensors are immutable after construction: nothing writes their
+coefficients afterwards, and every operation returns a new tensor.  Two
+lookup caches rest on that:
+
+- each :class:`SymTensor` keeps, per contraction order r, the grouping
+  :func:`contract` builds from it (every r-sub-occupation a mapped to
+  the list of (rest, value) pairs below it), built on first use; a
+  tensor returned by ``scale``, ``+`` or ``slice`` starts with none;
+- :func:`_merge` memoizes, per block key (a, b), the symmetric
+  occupation a + b and the integer weight prod_i C(a_i + b_i, a_i) that
+  :func:`symmetrize` needs, with a fixed bound on its size.
+
+The order of the floating-point sums is part of the exact routes'
+reproducibility contract.  Rewrites that keep every result bit: lookup
+caches of values that are computed exactly (keys and integer weights),
+and regrouping that keeps each dict's insertion order, since the sums
+then run over the same terms in the same order.  Rewrites that move
+result bits: reordering a sum, changing the insertion order of a
+grouping or of a result dict, and applying a weight at another point of
+a product.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -113,7 +135,7 @@ class _CanonicalTensor:
 class SymTensor(_CanonicalTensor):
     """Fully symmetric tensor of a fixed order over a d-dimensional basis."""
 
-    __slots__ = ("order",)
+    __slots__ = ("order", "_groups")
 
     def __init__(
         self, dim: int, order: int, coeffs: Mapping[tuple[int, ...], Number] | None = None
@@ -132,6 +154,7 @@ class SymTensor(_CanonicalTensor):
                 if value != 0:
                     data[occ] = value
         self._coeffs = data
+        self._groups = {}
 
     @classmethod
     def _trusted(cls, dim: int, order: int, data: dict) -> "SymTensor":
@@ -145,6 +168,7 @@ class SymTensor(_CanonicalTensor):
         t.dim = dim
         t.order = order
         t._coeffs = {occ: v for occ, v in data.items() if v != 0}
+        t._groups = {}
         return t
 
     def _shape(self) -> tuple[int, int]:
@@ -157,6 +181,18 @@ class SymTensor(_CanonicalTensor):
 
     def __repr__(self) -> str:
         return f"SymTensor(dim={self.dim}, order={self.order}, nnz={len(self._coeffs)})"
+
+    def _grouped(self, r: int) -> dict:
+        """Map each r-sub-occupation a to its [(rest, v), ...], built once per r."""
+        groups = self._groups.get(r)
+        if groups is None:
+            groups = {}
+            for occ, v in self._coeffs.items():
+                for a in sub_occupations(occ, r):
+                    rest = tuple(x - y for x, y in zip(occ, a))
+                    groups.setdefault(a, []).append((rest, v))
+            self._groups[r] = groups
+        return groups
 
     # ------------------------------------------------------------------
     # constructors
@@ -302,16 +338,8 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> BiSymTensor:
     if not 0 <= r <= min(f.order, g.order):
         raise ValueError(f"contraction order {r} out of range 0..{min(f.order, g.order)}")
 
-    def grouped(t: SymTensor) -> dict:
-        groups: dict[tuple[int, ...], list] = {}
-        for occ, v in t.items():
-            for a in sub_occupations(occ, r):
-                rest = tuple(x - y for x, y in zip(occ, a))
-                groups.setdefault(a, []).append((rest, v))
-        return groups
-
-    fg = grouped(f)
-    gg = grouped(g)
+    fg = f._grouped(r)
+    gg = g._grouped(r)
     data: dict[tuple[tuple[int, ...], tuple[int, ...]], Number] = {}
     for a, fitems in fg.items():
         gitems = gg.get(a)
@@ -324,6 +352,16 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> BiSymTensor:
                 key = (left, right)
                 data[key] = data.get(key, 0) + wf * gv
     return BiSymTensor._trusted(f.dim, f.order - r, g.order - r, data)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _merge(key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
+    """The occupation a + b of a block key (a, b) and its weight prod_i C(a_i + b_i, a_i)."""
+    a, b = key
+    w = 1
+    for x, y in zip(a, b):
+        w *= math.comb(x + y, x)
+    return tuple(x + y for x, y in zip(a, b)), w
 
 
 def symmetrize(t: BiSymTensor) -> SymTensor:
@@ -340,11 +378,8 @@ def symmetrize(t: BiSymTensor) -> SymTensor:
     p, q = t.left_order, t.right_order
     total_splits = math.comb(p + q, p)
     data: dict[tuple[int, ...], Number] = {}
-    for (a, b), v in t.items():
-        occ = tuple(x + y for x, y in zip(a, b))
-        w = 1
-        for x, y in zip(a, b):
-            w *= math.comb(x + y, x)
+    for key, v in t.items():
+        occ, w = _merge(key)
         if isinstance(v, float):
             contrib = v * w / total_splits
         else:

@@ -202,6 +202,59 @@ def test_exact_route_triangle(d, n, m, seed):
     assert closed == edet_theorem(ChaosPair(f, g)) == oracle_edet(ChaosPair(f, g))
 
 
+def supported_on(seed, d, order, coords):
+    """Exact-int tensor of the given order on the basis vectors in ``coords``."""
+    small = random_sym_tensor(seed, len(coords), order, dist="int")
+    data = {}
+    for occ, v in small.items():
+        full = [0] * d
+        for i, a in zip(coords, occ):
+            full[i] = a
+        data[tuple(full)] = v
+    return SymTensor(d, order, data)
+
+
+class TestIndependentSupports:
+    """f on e_0..e_{a-1} and g on e_a..e_{d-1} are independent with orthogonal
+    derivatives, so E det L = E|DF|^2 E|DG|^2 = n n! |f|^2 m m! |g|^2 exactly."""
+
+    @pytest.fixture(params=[(4, 3, 2), (5, 3, 3), (6, 4, 4)], ids=lambda p: "d%d-n%d-m%d" % p)
+    def split(self, request):
+        d, n, m = request.param
+        a = d // 2
+        f = supported_on(40 + d, d, n, range(a))
+        g = supported_on(60 + d, d, m, range(a, d))
+        return f, g
+
+    routes = (edet_closed, edet_theorem, oracle_edet)
+
+    def test_every_route_gives_the_product_of_derivative_norms(self, split):
+        f, g = split
+        n, m = f.order, g.order
+        expected = (
+            n * math.factorial(n) * f.norm_sq() * m * math.factorial(m) * g.norm_sq()
+        )
+        assert expected > 0
+        for route in self.routes:
+            value = route(ChaosPair(f, g))
+            assert isinstance(value, (int, Fraction))
+            assert value == expected
+
+    def test_covariance_determinant(self, split):
+        f, g = split
+        _, det_c = covariance(ChaosPair(f, g))
+        assert det_c == (
+            math.factorial(f.order) * math.factorial(g.order) * f.norm_sq() * g.norm_sq()
+        )
+
+    def test_scaling_and_swap(self, split):
+        f, g = split
+        for route in self.routes:
+            base = route(ChaosPair(f, g))
+            assert route(ChaosPair(f.scale(3), g.scale(-2))) == 36 * base
+            assert route(ChaosPair(g, f)) == base
+
+
 class TestEdetRoutes:
     def test_proportional_same_order(self):
         f = random_unit_tensor(4, 2, 3)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chaosdet.malliavin import ChaosPair, t_terms
 from chaosdet.multiindex import occupations
 from chaosdet.tensors import (
     BiSymTensor,
     SymTensor,
+    _merge,
     contract,
     inner,
     load_tensor,
@@ -20,6 +22,7 @@ from chaosdet.tensors import (
     tensor_from_dict,
     tensor_to_dict,
 )
+from chaosdet.verify import oracle_edet
 
 from dense_reference import (
     bisym_to_dense,
@@ -335,6 +338,69 @@ def test_internal_results_match_validated_rebuild(data, d, n, m, c):
     for t in results:
         assert t == validated(t)
         assert all(v != 0 for _, v in t.items())
+
+
+def bits(t):
+    """Keys, insertion order and exact values; floats by their hex form."""
+    return [(key, v.hex() if isinstance(v, float) else v) for key, v in t.items()]
+
+
+@st.composite
+def float_tensors(draw, dim, order):
+    occs = list(occupations(dim, order))
+    values = draw(st.lists(
+        st.floats(-1e3, 1e3, allow_subnormal=False) | st.just(0.0),
+        min_size=len(occs), max_size=len(occs),
+    ))
+    return SymTensor(dim, order, dict(zip(occs, values)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    exact=st.booleans(),
+    d=st.integers(min_value=1, max_value=4),
+    n=st.integers(min_value=0, max_value=4),
+    m=st.integers(min_value=0, max_value=4),
+)
+def test_caches_change_no_bit(data, exact, d, n, m):
+    """Warm tensors contract, and symmetrize runs after a cache clear, to the
+    same keys, insertion order and bits as fresh copies."""
+    kind = int_tensors if exact else float_tensors
+    f, g, h = data.draw(kind(d, n)), data.draw(kind(d, m)), data.draw(kind(d, n))
+    for r in range(min(n, m) + 1):
+        contract(f, h, min(r + 1, n))
+        contract(f, f, r)
+        contract(g, f, r)
+        contract(h, g, r)
+    for r in range(min(n, m) + 1):
+        block = contract(f, g, r)
+        assert bits(block) == bits(contract(validated(f), validated(g), r))
+        sym = symmetrize(block)
+        _merge.cache_clear()
+        assert bits(sym) == bits(symmetrize(block))
+        # tensors derived from warm ones start cold: no grouping is shared
+        cold = validated(f)
+        for derived, fresh in [(f.scale(2.0), cold.scale(2.0)), (f + h, cold + validated(h))]:
+            assert bits(contract(derived, g, r)) == bits(contract(fresh, g, r))
+    assert f == validated(f) and g == validated(g)
+
+
+def test_oracle_bits_do_not_depend_on_warm_slices():
+    f, g = random_unit_tensor(31, 4, 3), random_unit_tensor(32, 4, 3)
+    cold = oracle_edet(ChaosPair(f, g))
+    pair = ChaosPair(f, g)
+    t_terms(pair)
+    assert oracle_edet(pair).hex() == cold.hex()
+
+
+def test_merge_cache_is_bounded_and_used():
+    assert isinstance(_merge.cache_info().maxsize, int)
+    block = contract(random_sym_tensor(1, 3, 3), random_sym_tensor(2, 3, 2), 1)
+    symmetrize(block)
+    hits = _merge.cache_info().hits
+    symmetrize(block)
+    assert _merge.cache_info().hits == hits + len(block)
 
 
 class TestConstructorKeys:
