@@ -41,7 +41,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .chaos import DEFAULT_CHUNK_SIZE, GaussianSample, eval_integral
 from .tensors import Number, SymTensor, contract, inner, symmetrize
@@ -98,9 +98,9 @@ def det_lambda_at(pair: ChaosPair, s: GaussianSample) -> DetLambdaRoutes:
     """
     sf = [eval_integral(t, s) for t in pair.slices_f]
     sg = [eval_integral(t, s) for t in pair.slices_g]
-    a = sum(v * v for v in sf)
-    b = sum(v * v for v in sg)
-    q = sum(u * v for u, v in zip(sf, sg))
+    a = left_sum(v * v for v in sf)
+    b = left_sum(v * v for v in sg)
+    q = left_sum(u * v for u, v in zip(sf, sg))
     gram = a * b - q * q
     sos: Number = 0
     for i in range(pair.dim):
@@ -108,6 +108,14 @@ def det_lambda_at(pair: ChaosPair, s: GaussianSample) -> DetLambdaRoutes:
             minor = sf[i] * sg[l] - sf[l] * sg[i]
             sos += minor * minor
     return DetLambdaRoutes(gram, _half(sos))
+
+
+def left_sum(values: Iterable[Number]) -> Number:
+    """Left-to-right sum from 0, uncompensated, unlike ``sum`` from Python 3.12 on."""
+    total: Number = 0
+    for v in values:
+        total += v
+    return total
 
 
 def _half(x: Number) -> Number:
@@ -148,18 +156,12 @@ def t_terms(pair: ChaosPair) -> list[Number]:
 
 def edet_closed(pair: ChaosPair) -> Number:
     """E det L as the sum of all T_k."""
-    total: Number = 0
-    for value in t_terms(pair):
-        total += value
-    return total
+    return left_sum(t_terms(pair))
 
 
 def r_term(pair: ChaosPair) -> Number:
     """Remainder sum_{k>=1} T_k; empty (0) when n = 1 or m = 1."""
-    total: Number = 0
-    for k in range(1, min(pair.n, pair.m)):
-        total += term_T_k(pair, k)
-    return total
+    return left_sum(term_T_k(pair, k) for k in range(1, min(pair.n, pair.m)))
 
 
 def contraction_norms_sq(pair: ChaosPair) -> list[Number]:
@@ -177,11 +179,10 @@ def t0_contraction(pair: ChaosPair) -> Number:
     n, m = pair.n, pair.m
     norms = contraction_norms_sq(pair)
     scale = m * n * math.factorial(m) * math.factorial(n)
-    total: Number = 0
-    for r in range(min(n - 1, m - 1) + 1):
-        weight = scale * math.comb(n - 1, r) * math.comb(m - 1, r)
-        total += weight * (norms[r] - norms[r + 1])
-    return total
+    return left_sum(
+        scale * math.comb(n - 1, r) * math.comb(m - 1, r) * (norms[r] - norms[r + 1])
+        for r in range(min(n - 1, m - 1) + 1)
+    )
 
 
 def edet_theorem(pair: ChaosPair) -> Number:
@@ -370,9 +371,9 @@ def build_report(
     if within_guard(pair.dim, pair.n, pair.m) or unsafe:
         terms = [float(v) for v in t_terms(pair)]
         report.t_terms = terms
-        report.r_term = float(sum(terms[1:]))
+        report.r_term = float(left_sum(terms[1:]))
         report.t0_contraction = float(t0_contraction(pair))
-        report.edet_closed = float(sum(terms))
+        report.edet_closed = float(left_sum(terms))
         report.edet_theorem = float(edet_theorem(pair))
         report.edet_oracle = float(oracle_edet(pair))
         if pair.n == pair.m:

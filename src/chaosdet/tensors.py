@@ -25,17 +25,12 @@ combinatorial weights and exact rational division, so tensors with
 rational coefficients propagate exactly.  The exact mode backs the
 tolerance-free cross-checks in the test suite.
 
-Tensors are immutable after construction: nothing writes their
-coefficients afterwards, and every operation returns a new tensor.  Two
-lookup caches rest on that:
-
-- each :class:`SymTensor` keeps, per contraction order r, the grouping
-  :func:`contract` builds from it (every r-sub-occupation a mapped to
-  the list of (rest, value) pairs below it), built on first use; a
-  tensor returned by ``scale``, ``+`` or ``slice`` starts with none;
-- :func:`_merge` memoizes, per block key (a, b), the symmetric
-  occupation a + b and the integer weight prod_i C(a_i + b_i, a_i) that
-  :func:`symmetrize` needs, with a fixed bound on its size.
+Tensors are plain values: they hold their coefficients and shape, and
+no cache.  Every operation returns a new tensor and writes only the
+fresh dict it builds.  The occupation combinatorics the operations
+need (weights, the splits :func:`contract` groups by, the merges
+:func:`symmetrize` adds into) are bounded caches of integer keys in
+:mod:`chaosdet.multiindex`.
 
 The order of the floating-point sums is part of the exact routes'
 reproducibility contract.  Rewrites that keep every result bit: lookup
@@ -48,7 +43,6 @@ a product.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -58,7 +52,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .multiindex import multiplicity, occupations, sub_occupations
+from .multiindex import merge, multiplicity, occupations, splits
 
 Number = Union[int, float, Fraction]
 
@@ -72,6 +66,14 @@ def _as_occ(key: Sequence[int], dim: int, order: int) -> tuple[int, ...]:
     if sum(occ) != order:
         raise ValueError(f"occupation {occ} has order {sum(occ)}, expected {order}")
     return occ
+
+
+def _drop_zeros(data: dict) -> dict:
+    """Delete zero values in place from a fresh dict nothing else holds; order is kept."""
+    if 0 in data.values():
+        for key in [key for key, v in data.items() if v == 0]:
+            del data[key]
+    return data
 
 
 def _check_finite(occ, value: Number) -> None:
@@ -135,7 +137,7 @@ class _CanonicalTensor:
 class SymTensor(_CanonicalTensor):
     """Fully symmetric tensor of a fixed order over a d-dimensional basis."""
 
-    __slots__ = ("order", "_groups")
+    __slots__ = ("order",)
 
     def __init__(
         self, dim: int, order: int, coeffs: Mapping[tuple[int, ...], Number] | None = None
@@ -154,21 +156,20 @@ class SymTensor(_CanonicalTensor):
                 if value != 0:
                     data[occ] = value
         self._coeffs = data
-        self._groups = {}
 
     @classmethod
     def _trusted(cls, dim: int, order: int, data: dict) -> "SymTensor":
         """Wrap coefficients computed from valid tensors, skipping key checks.
 
         Only for results of operations on already validated tensors:
-        keys must be occupations of (dim, order).  Zeros are still
-        dropped, so storage matches the validating constructor.
+        keys must be occupations of (dim, order), and ``data`` a fresh
+        dict the tensor takes over.  Zeros are still dropped, so storage
+        matches the validating constructor.
         """
         t = cls.__new__(cls)
         t.dim = dim
         t.order = order
-        t._coeffs = {occ: v for occ, v in data.items() if v != 0}
-        t._groups = {}
+        t._coeffs = _drop_zeros(data)
         return t
 
     def _shape(self) -> tuple[int, int]:
@@ -181,18 +182,6 @@ class SymTensor(_CanonicalTensor):
 
     def __repr__(self) -> str:
         return f"SymTensor(dim={self.dim}, order={self.order}, nnz={len(self._coeffs)})"
-
-    def _grouped(self, r: int) -> dict:
-        """Map each r-sub-occupation a to its [(rest, v), ...], built once per r."""
-        groups = self._groups.get(r)
-        if groups is None:
-            groups = {}
-            for occ, v in self._coeffs.items():
-                for a in sub_occupations(occ, r):
-                    rest = tuple(x - y for x, y in zip(occ, a))
-                    groups.setdefault(a, []).append((rest, v))
-            self._groups[r] = groups
-        return groups
 
     # ------------------------------------------------------------------
     # constructors
@@ -270,15 +259,13 @@ class BiSymTensor(_CanonicalTensor):
         self._coeffs = data
 
     @classmethod
-    def _trusted(
-        cls, dim: int, left_order: int, right_order: int, data: dict
-    ) -> "BiSymTensor":
+    def _trusted(cls, dim: int, left_order: int, right_order: int, data: dict) -> "BiSymTensor":
         """Block counterpart of :meth:`SymTensor._trusted`; drops zeros."""
         t = cls.__new__(cls)
         t.dim = dim
         t.left_order = left_order
         t.right_order = right_order
-        t._coeffs = {key: v for key, v in data.items() if v != 0}
+        t._coeffs = _drop_zeros(data)
         return t
 
     def _shape(self) -> tuple[int, int, int]:
@@ -338,8 +325,12 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> BiSymTensor:
     if not 0 <= r <= min(f.order, g.order):
         raise ValueError(f"contraction order {r} out of range 0..{min(f.order, g.order)}")
 
-    fg = f._grouped(r)
-    gg = g._grouped(r)
+    # each operand's entries grouped by the r-sub-occupation a they split off
+    fg, gg = {}, {}
+    for t, groups in ((f, fg), (g, gg)):
+        for occ, v in t._coeffs.items():
+            for a, rest in splits(occ, r):
+                groups.setdefault(a, []).append((rest, v))
     data: dict[tuple[tuple[int, ...], tuple[int, ...]], Number] = {}
     for a, fitems in fg.items():
         gitems = gg.get(a)
@@ -352,16 +343,6 @@ def contract(f: SymTensor, g: SymTensor, r: int) -> BiSymTensor:
                 key = (left, right)
                 data[key] = data.get(key, 0) + wf * gv
     return BiSymTensor._trusted(f.dim, f.order - r, g.order - r, data)
-
-
-@functools.lru_cache(maxsize=1 << 14)
-def _merge(key: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
-    """The occupation a + b of a block key (a, b) and its weight prod_i C(a_i + b_i, a_i)."""
-    a, b = key
-    w = 1
-    for x, y in zip(a, b):
-        w *= math.comb(x + y, x)
-    return tuple(x + y for x, y in zip(a, b)), w
 
 
 def symmetrize(t: BiSymTensor) -> SymTensor:
@@ -379,7 +360,7 @@ def symmetrize(t: BiSymTensor) -> SymTensor:
     total_splits = math.comb(p + q, p)
     data: dict[tuple[int, ...], Number] = {}
     for key, v in t.items():
-        occ, w = _merge(key)
+        occ, w = merge(key)
         if isinstance(v, float):
             contrib = v * w / total_splits
         else:

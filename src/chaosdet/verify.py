@@ -31,6 +31,7 @@ from .malliavin import (
     edet_closed,
     edet_same_chaos,
     edet_theorem,
+    left_sum,
     t0_contraction,
     t_last_closed,
     term_T_k,
@@ -240,7 +241,7 @@ def check_det_sum_of_squares(
         gram, sos = det_lambda_at(pair, s)
         sf = [eval_integral(t, s) for t in pair.slices_f]
         sg = [eval_integral(t, s) for t in pair.slices_g]
-        scale = sum(v * v for v in sf) * sum(v * v for v in sg)
+        scale = left_sum(v * v for v in sf) * left_sum(v * v for v in sg)
         results.append(
             _result(
                 _id("det-sum-of-squares", d=d, n=n, m=m),

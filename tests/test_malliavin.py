@@ -495,6 +495,34 @@ class TestReport:
         q = report.quantities()
         assert {"detC", "T", "R", "edet_closed", "edet_oracle", "edet_mc_mean"} <= set(q)
 
+    def test_sums_are_left_folds(self):
+        """R and edet_closed are the plain left fold of T on every interpreter.
+
+        The builtin ``sum`` compensates float sums from Python 3.12 on; on
+        this pair (``report --random --dim 3 --n 3 --m 3 --seed 2``) that
+        sum differs from the left fold in the last bit of edet_closed.
+        """
+
+        def neumaier(values):
+            total, c = 0.0, 0.0
+            for x in values:
+                t = total + x
+                c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + c if c and math.isfinite(c) else total
+
+        pair = ChaosPair(random_unit_tensor(2001, 3, 3), random_unit_tensor(2002, 3, 3))
+        report = build_report(pair)
+        folds = []
+        for terms in (report.t_terms, report.t_terms[1:]):
+            total = 0.0
+            for value in terms:
+                total += value
+            folds.append(total)
+        assert report.edet_closed.hex() == folds[0].hex() == edet_closed(pair).hex()
+        assert report.r_term.hex() == folds[1].hex() == r_term(pair).hex()
+        assert neumaier(report.t_terms) != folds[0]
+
     def test_guard_degrades_to_mc(self):
         pair = ChaosPair(
             random_unit_tensor(0, 6, 2), random_unit_tensor(1, 6, 2)

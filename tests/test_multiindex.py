@@ -1,13 +1,10 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import given, strategies as st
 
-from chaosdet.multiindex import (
-    multiplicity,
-    occupations,
-    sub_occupations,
-)
+from chaosdet.multiindex import _multiplicity, merge, multiplicity, occupations, splits
 
 
 def test_multiplicity_values():
@@ -17,6 +14,7 @@ def test_multiplicity_values():
     assert multiplicity((1, 1, 1)) == 6
     assert multiplicity((0, 0)) == 1
     assert multiplicity((3, 2, 1)) == math.factorial(6) // (6 * 2 * 1) == 60
+    assert multiplicity([2, 1]) == 3
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=4))
@@ -42,14 +40,22 @@ def test_occupations_count_and_validity(dim, order):
 
 @given(
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
-    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=13),
 )
-def test_sub_occupations_match_brute_force(occ, r):
-    got = sorted(sub_occupations(occ, r))
-    expected = sorted(
-        a
-        for a in itertools.product(*(range(x + 1) for x in occ))
+def test_splits_match_brute_force(occ, r):
+    """Every sub-occupation of order r with its complement, in ascending
+    lexicographic order; none once r passes the order of occ."""
+    got = splits(tuple(occ), r)
+    expected = [
+        (a, tuple(x - y for x, y in zip(occ, a)))
+        for a in sorted(itertools.product(*(range(x + 1) for x in occ)))
         if sum(a) == r
-    )
-    assert got == expected
+    ]
+    assert list(got) == expected
 
+
+@pytest.mark.parametrize(
+    "cache, bound", [(_multiplicity, 4096), (splits, 4096), (merge, 16384)]
+)
+def test_key_caches_have_their_documented_bound(cache, bound):
+    assert cache.cache_info().maxsize == bound

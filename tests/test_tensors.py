@@ -6,11 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaosdet.malliavin import ChaosPair, t_terms
-from chaosdet.multiindex import occupations
+from chaosdet.multiindex import _multiplicity, merge, occupations, splits
 from chaosdet.tensors import (
     BiSymTensor,
     SymTensor,
-    _merge,
     contract,
     inner,
     load_tensor,
@@ -355,6 +354,11 @@ def float_tensors(draw, dim, order):
     return SymTensor(dim, order, dict(zip(occs, values)))
 
 
+def clear_key_caches():
+    for cache in (_multiplicity, splits, merge):
+        cache.cache_clear()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
@@ -364,8 +368,8 @@ def float_tensors(draw, dim, order):
     m=st.integers(min_value=0, max_value=4),
 )
 def test_caches_change_no_bit(data, exact, d, n, m):
-    """Warm tensors contract, and symmetrize runs after a cache clear, to the
-    same keys, insertion order and bits as fresh copies."""
+    """Contractions and symmetrizations run on warm key caches have the same
+    keys, insertion order and bits as on cleared ones."""
     kind = int_tensors if exact else float_tensors
     f, g, h = data.draw(kind(d, n)), data.draw(kind(d, m)), data.draw(kind(d, n))
     for r in range(min(n, m) + 1):
@@ -375,15 +379,31 @@ def test_caches_change_no_bit(data, exact, d, n, m):
         contract(h, g, r)
     for r in range(min(n, m) + 1):
         block = contract(f, g, r)
-        assert bits(block) == bits(contract(validated(f), validated(g), r))
         sym = symmetrize(block)
-        _merge.cache_clear()
+        derived = contract(f.scale(2.0) + h, g, r)
+        clear_key_caches()
+        assert bits(block) == bits(contract(validated(f), validated(g), r))
         assert bits(sym) == bits(symmetrize(block))
-        # tensors derived from warm ones start cold: no grouping is shared
-        cold = validated(f)
-        for derived, fresh in [(f.scale(2.0), cold.scale(2.0)), (f + h, cold + validated(h))]:
-            assert bits(contract(derived, g, r)) == bits(contract(fresh, g, r))
+        assert bits(derived) == bits(contract(validated(f).scale(2.0) + validated(h), g, r))
     assert f == validated(f) and g == validated(g)
+
+
+def test_tensors_hold_no_cache():
+    f = random_sym_tensor(3, 3, 3)
+    contract(f, f, 2)
+    assert not hasattr(f, "__dict__")
+    slots = {name for cls in type(f).__mro__ for name in getattr(cls, "__slots__", ())}
+    assert slots == {"dim", "_coeffs", "order"}
+
+
+def test_cancelling_contraction_drops_only_the_zero_key():
+    f = SymTensor(3, 1, {(1, 0, 0): 1, (0, 1, 0): 1})
+    g = SymTensor(3, 2, {(2, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): 5, (0, 2, 0): 3})
+    # right key (1, 0, 0) sums 1 * 1 + 1 * (-1) = 0; the others keep the
+    # order in which the grouping first reaches them
+    got = list(contract(f, g, 1).items())
+    assert got == [(((0, 0, 0), (0, 1, 0)), 2), (((0, 0, 0), (0, 0, 1)), 5)]
+    assert len(f.scale(0)) == 0 and len(contract(f, g, 1).scale(0.0)) == 0
 
 
 def test_oracle_bits_do_not_depend_on_warm_slices():
@@ -395,12 +415,12 @@ def test_oracle_bits_do_not_depend_on_warm_slices():
 
 
 def test_merge_cache_is_bounded_and_used():
-    assert isinstance(_merge.cache_info().maxsize, int)
+    assert isinstance(merge.cache_info().maxsize, int)
     block = contract(random_sym_tensor(1, 3, 3), random_sym_tensor(2, 3, 2), 1)
     symmetrize(block)
-    hits = _merge.cache_info().hits
+    hits = merge.cache_info().hits
     symmetrize(block)
-    assert _merge.cache_info().hits == hits + len(block)
+    assert merge.cache_info().hits == hits + len(block)
 
 
 class TestConstructorKeys:

@@ -3,8 +3,8 @@
 
 Run from the repository root:
 
-    python3 tools/mutants.py src/chaosdet/tensors.py contract symmetrize _merge \\
-        SymTensor._grouped
+    python3 tools/mutants.py src/chaosdet/tensors.py contract symmetrize _drop_zeros
+    python3 tools/mutants.py src/chaosdet/multiindex.py splits merge _multiplicity
 
 Each mutant changes one site inside one of the named functions (a method
 is named ``Class.method``):
