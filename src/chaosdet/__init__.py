@@ -14,6 +14,7 @@ from .chaos import (
     GaussianSample,
     eval_integral,
     hermite,
+    oracle_edet,
     product,
     sample,
 )
@@ -46,7 +47,7 @@ from .tensors import (
     save_tensor,
     symmetrize,
 )
-from .verify import CheckResult, oracle_edet, run_suite
+from .verify import CheckResult, run_suite
 
 __all__ = [
     "__version__",

@@ -20,6 +20,10 @@ only that order-0 term, which is the isometry
     E[X Y] = sum_k k! <X_k, Y_k>,
 
 so :func:`expectation_of_product` reads it without expanding the product.
+:func:`oracle_edet` builds E det L = E[|DF|^2 |DG|^2] - E[<DF, DG>^2]
+from these two functions alone.  It lives here because this module
+imports nothing from :mod:`chaosdet.malliavin`: the oracle cannot read
+a closed-form term, so its agreement with them is a real check.
 
 Sampling uses the counter-based Philox generator keyed by
 (seed, stream index), so a sample is determined by its coordinates
@@ -221,3 +225,15 @@ def expectation_of_product(x: ChaosExpansion, y: ChaosExpansion) -> Number:
         if g is not None:
             total += math.factorial(k) * inner(f, g)
     return total
+
+
+def oracle_edet(pair):
+    """E det L of a ``ChaosPair`` through chaos products only (no closed-form terms)."""
+    # an empty slice gives an empty expansion, whose products are empty too
+    zero = ChaosExpansion(pair.dim)
+    df = [ChaosExpansion.of(t) for t in pair.slices_f]
+    dg = [ChaosExpansion.of(t) for t in pair.slices_g]
+    norm_df = sum((product(x, x) for x in df), zero)
+    norm_dg = sum((product(y, y) for y in dg), zero)
+    cross = sum((product(x, y) for x, y in zip(df, dg)), zero)
+    return expectation_of_product(norm_df, norm_dg) - expectation_of_product(cross, cross)

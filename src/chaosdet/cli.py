@@ -19,10 +19,17 @@ from typing import Optional
 
 from . import __version__
 from .chaos import DEFAULT_CHUNK_SIZE, SEED_BOUND
-from .malliavin import ChaosPair, OutsideDecidedRange, build_report, density_verdict
+from .malliavin import (
+    GUARD_MAX_DIM,
+    GUARD_MAX_ORDER,
+    ChaosPair,
+    OutsideDecidedRange,
+    build_report,
+    density_verdict,
+)
 from .montecarlo import estimate_edet
 from .tensors import load_tensor, random_unit_tensor, save_tensor
-from .verify import GUARD_MAX_DIM, GUARD_MAX_ORDER, run_suite, suite_failed
+from .verify import run_suite, suite_failed
 
 
 def _flatten(prefix: str, value, rows: list[tuple[str, object]]) -> None:
@@ -61,9 +68,7 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _load_pair(args) -> ChaosPair:
     if args.random:
-        f = random_unit_tensor(args.seed * 1000 + 1, args.dim, args.n)
-        g = random_unit_tensor(args.seed * 1000 + 2, args.dim, args.m)
-        return ChaosPair(f, g)
+        return ChaosPair.random(args.seed, args.dim, args.n, args.m)
     if not args.f or not args.g:
         raise ValueError("either two tensor files or --random with --dim/--n/--m")
     return ChaosPair(load_tensor(args.f), load_tensor(args.g))

@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .chaos import DEFAULT_CHUNK_SIZE, GaussianSample, eval_integral
-from .tensors import Number, SymTensor, contract, inner, symmetrize
+from .chaos import DEFAULT_CHUNK_SIZE, GaussianSample, eval_integral, oracle_edet
+from .montecarlo import _check_sampling_args, estimate_edet
+from .tensors import Number, SymTensor, contract, inner, random_unit_tensor, symmetrize
 
 
 class ChaosPair:
@@ -53,7 +54,7 @@ class ChaosPair:
     The derivative slices are computed once, on construction.  The
     closed-form routes cache each T_k and the contraction norms in
     ``_memo``, so every closed-form quantity is computed once per pair.
-    The chaos-product oracle in :mod:`chaosdet.verify` reads only the
+    The chaos-product oracle in :mod:`chaosdet.chaos` reads only the
     slices.
     """
 
@@ -72,6 +73,12 @@ class ChaosPair:
         self.slices_f = malliavin_slices(f)
         self.slices_g = malliavin_slices(g)
         self._memo: dict = {}
+
+    @classmethod
+    def random(cls, seed: int, dim: int, n: int, m: int) -> "ChaosPair":
+        """The unit-norm pair that ``--random`` draws, reproducible from seed."""
+        f = random_unit_tensor(seed * 1000 + 1, dim, n)
+        return cls(f, random_unit_tensor(seed * 1000 + 2, dim, m))
 
     def __repr__(self) -> str:
         return f"ChaosPair(dim={self.dim}, orders=({self.n}, {self.m}))"
@@ -341,6 +348,15 @@ class MalliavinReport:
         return out
 
 
+GUARD_MAX_DIM = 5
+GUARD_MAX_ORDER = 4
+
+
+def within_guard(dim: int, n: int, m: int) -> bool:
+    """Whether the exact routes run on a pair of this shape without ``unsafe``."""
+    return dim <= GUARD_MAX_DIM and n <= GUARD_MAX_ORDER and m <= GUARD_MAX_ORDER
+
+
 def build_report(
     pair: ChaosPair,
     trials: int = 0,
@@ -358,10 +374,6 @@ def build_report(
     ``tol`` and ``workers`` or ``chunk_size`` below 1 raise ValueError
     before any route runs, whether or not Monte Carlo runs.
     """
-    # local imports: verify/montecarlo build on this module
-    from .montecarlo import _check_sampling_args, estimate_edet
-    from .verify import GUARD_MAX_DIM, GUARD_MAX_ORDER, oracle_edet, within_guard
-
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     _check_tol(tol)

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _kernels
 from .chaos import DEFAULT_CHUNK_SIZE, _philox, eval_arrays
-from .malliavin import ChaosPair
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,13 @@ def _check_sampling_args(workers: int, chunk_size: int) -> None:
 
 
 def estimate_edet(
-    pair: ChaosPair,
+    pair,
     n_samples: int,
     seed: int,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> McEstimate:
-    """Empirical mean and standard error of det L over seeded samples."""
+    """Empirical mean and standard error of det L over seeded samples of a ``ChaosPair``."""
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     _check_sampling_args(workers, chunk_size)

@@ -393,14 +393,17 @@ def random_sym_tensor(seed: int, dim: int, order: int, dist: str = "normal") -> 
     """
     if dist not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {dist!r}, expected one of {DISTRIBUTIONS}")
+    keys = list(occupations(dim, order))
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     rng = np.random.default_rng(seed)
-    data: dict[tuple[int, ...], Number] = {}
-    for occ in occupations(dim, order):
-        if dist == "normal":
-            data[occ] = float(rng.standard_normal())
-        else:
-            data[occ] = int(rng.integers(-9, 10))
-    return SymTensor(dim, order, data)
+    if dist == "normal":
+        values = rng.standard_normal(len(keys))
+    else:
+        values = rng.integers(-9, 10, size=len(keys))
+    # one draw gives the same values, in the same order, as one draw per key;
+    # tolist() makes them Python floats or ints
+    return SymTensor._trusted(dim, order, dict(zip(keys, values.tolist())))
 
 
 def random_unit_tensor(seed: int, dim: int, order: int) -> SymTensor:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from chaosdet.chaos import eval_integral, sample
+from chaosdet.chaos import eval_integral, oracle_edet, sample
 from chaosdet.malliavin import (
     ChaosPair,
     DensityVerdict,
@@ -36,7 +36,6 @@ from chaosdet.tensors import (
     random_unit_tensor,
     symmetrize,
 )
-from chaosdet.verify import oracle_edet
 
 from dense_reference import bisym_to_dense, dense_symmetrize, sym_to_dense
 

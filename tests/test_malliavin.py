@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaosdet import malliavin, verify
-from chaosdet.chaos import ChaosExpansion, GaussianSample, eval_integral, product, sample
+from chaosdet import malliavin
+from chaosdet.chaos import (
+    ChaosExpansion,
+    GaussianSample,
+    eval_integral,
+    oracle_edet,
+    product,
+    sample,
+)
 from chaosdet.cli import _emit
 from chaosdet.malliavin import (
     ChaosPair,
@@ -36,13 +43,22 @@ from chaosdet.tensors import (
     random_unit_tensor,
     symmetrize,
 )
-from chaosdet.verify import oracle_edet
 
 
 def unit_pair(seed, d, n, m):
     return ChaosPair(
         random_unit_tensor(seed, d, n), random_unit_tensor(seed + 500, d, m)
     )
+
+
+class TestRandomPair:
+    def test_rule(self):
+        # the pair ``--random`` draws: unit tensors seeded seed*1000+1 and +2
+        for seed, d, n, m in [(0, 2, 2, 2), (3, 5, 4, 4), (7, 3, 1, 4)]:
+            pair = ChaosPair.random(seed, d, n, m)
+            assert pair.f == random_unit_tensor(seed * 1000 + 1, d, n)
+            assert pair.g == random_unit_tensor(seed * 1000 + 2, d, m)
+            assert (pair.dim, pair.n, pair.m) == (d, n, m)
 
 
 class TestSlices:
@@ -538,7 +554,7 @@ class TestReport:
             raise AssertionError("oracle_edet ran past the guard")
 
         pair = unit_pair(25, 6, 2, 2)
-        monkeypatch.setattr(verify, "oracle_edet", forbidden)
+        monkeypatch.setattr(malliavin, "oracle_edet", forbidden)
         assert build_report(pair, trials=100).edet_oracle is None
         with pytest.raises(AssertionError, match="past the guard"):
             build_report(pair, unsafe=True)

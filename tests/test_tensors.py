@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from chaosdet.chaos import oracle_edet
 from chaosdet.malliavin import ChaosPair, t_terms
 from chaosdet.multiindex import _multiplicity, merge, occupations, splits
 from chaosdet.tensors import (
@@ -21,7 +22,6 @@ from chaosdet.tensors import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from chaosdet.verify import oracle_edet
 
 from dense_reference import (
     bisym_to_dense,
@@ -452,6 +452,37 @@ class TestNonFinite:
         obj["entries"][1]["coeff"] = math.nan
         with pytest.raises(ValueError, match="not finite"):
             tensor_from_dict(obj)
+
+
+class TestRandomDraws:
+    @staticmethod
+    def one_draw_per_key(seed, dim, order, dist):
+        rng = np.random.default_rng(seed)
+        data = {}
+        for occ in occupations(dim, order):
+            if dist == "normal":
+                data[occ] = float(rng.standard_normal())
+            else:
+                data[occ] = int(rng.integers(-9, 10))
+        return SymTensor(dim, order, data)
+
+    @pytest.mark.parametrize("dist", ["normal", "int"])
+    def test_one_draw_matches_a_draw_per_key(self, dist):
+        kind = float if dist == "normal" else int
+        for seed in range(20):
+            for dim, order in [(1, 0), (1, 3), (2, 2), (3, 3), (5, 4), (4, 6)]:
+                t = random_sym_tensor(seed, dim, order, dist=dist)
+                expected = self.one_draw_per_key(seed, dim, order, dist)
+                assert bits(t) == bits(expected)
+                assert all(type(v) is kind for _, v in t.items())
+
+    def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            random_sym_tensor(0, 2, -1)
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            random_sym_tensor(0, 1, -1)
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            random_sym_tensor(0, 0, 2)
 
 
 class TestExactMode:

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from chaosdet import malliavin, verify
-from chaosdet.malliavin import ChaosPair, covariance, edet_closed
+from chaosdet.chaos import oracle_edet
+from chaosdet.malliavin import ChaosPair, covariance, edet_closed, within_guard
 from chaosdet.tensors import (
     BiSymTensor,
     SymTensor,
@@ -29,10 +30,8 @@ from chaosdet.verify import (
     check_slice_contraction,
     check_sym_outer_inner,
     check_t0_contraction_form,
-    oracle_edet,
     run_suite,
     suite_failed,
-    within_guard,
 )
 
 
@@ -62,7 +61,7 @@ class TestOracle:
         assert oracle_edet(pair) == pytest.approx(float(edet_closed(pair)), rel=1e-8)
 
     def test_guard_predicate(self):
-        d, k = verify.GUARD_MAX_DIM, verify.GUARD_MAX_ORDER
+        d, k = malliavin.GUARD_MAX_DIM, malliavin.GUARD_MAX_ORDER
         assert within_guard(d, k, k)
         for shape in [(d + 1, k, k), (d, k + 1, k), (d, k, k + 1)]:
             assert not within_guard(*shape)
@@ -127,6 +126,71 @@ class TestSymOuterInnerScale:
         res = check_sym_outer_inner(self.SEED, self.D, n, m)
         assert not res.passed
         assert res.rel_err == pytest.approx(1e-8, rel=1e-3)
+
+
+def norms_sq(pair):
+    return [contract(pair.f, pair.g, r).norm_sq() for r in range(min(pair.n, pair.m) + 1)]
+
+
+class TestCancellingFormsScale:
+    """Forms that subtract large non-negative terms are measured against those terms.
+
+    The cancelling case of each family is a suite seed where the compared
+    values cancel to near zero, and an error relative to those values alone
+    exceeded the tolerance (by 5 750x for the last term): float
+    cancellation, not a wrong route.  The other cases pin the magnitude.
+    """
+
+    @staticmethod
+    def check(res, scale, cancelling):
+        assert res.passed, res.line()
+        # the denominator the check divided by is the magnitude of the terms
+        assert res.abs_err > 0
+        assert res.abs_err / res.rel_err == pytest.approx(scale, rel=1e-9)
+        assert cancelling == (res.abs_err > res.tol * max(abs(res.lhs), abs(res.rhs)))
+
+    @pytest.mark.parametrize(
+        "seed, d, n, m, cancelling",
+        [(356591647, 2, 1, 1, True), (4, 3, 2, 3, False), (4, 2, 4, 2, False)],
+    )
+    def test_t0_contraction_form(self, seed, d, n, m, cancelling):
+        res = check_t0_contraction_form(seed, d, n, m)
+        norms = norms_sq(ChaosPair.random(seed * 7 + 2, d, n, m))
+        weight = n * m * math.factorial(n) * math.factorial(m)
+        scale = sum(
+            weight * math.comb(n - 1, r) * math.comb(m - 1, r) * (norms[r] + norms[r + 1])
+            for r in range(min(n, m))
+        )
+        self.check(res, scale, cancelling)
+
+    @pytest.mark.parametrize(
+        "seed, d, m, cancelling", [(1484423389, 2, 4, True), (3, 3, 3, False)]
+    )
+    def test_last_term_closed_form(self, seed, d, m, cancelling):
+        res = check_last_term_closed_form(seed, d, m)
+        norms = norms_sq(ChaosPair.random(seed * 7 + 6, d, m, m))
+        self.check(res, 2 * m * m * math.factorial(m) ** 2 * norms[m - 1], cancelling)
+
+    @pytest.mark.parametrize(
+        "seed, d, m, cancelling",
+        [(1972115741, 2, 1, True), (5, 3, 3, False), (8, 2, 4, False), (2, 2, 5, False)],
+    )
+    def test_same_order_decomposition(self, seed, d, m, cancelling):
+        res = check_same_order_decomposition(seed, d, m)
+        pair = ChaosPair.random(seed * 7 + 5, d, m, m)
+        norms = norms_sq(pair)
+        var_f = math.factorial(m) * pair.f.norm_sq()
+        var_g = math.factorial(m) * pair.g.norm_sq()
+        cov = math.factorial(m) * inner(pair.f, pair.g)
+        corrections = sum(
+            abs(math.comb(m - 1, r) ** 2 - math.comb(m - 1, r - 1) ** 2)
+            * (m * math.factorial(m)) ** 2
+            * (norms[r] + norms[m - r])
+            for r in range(1, (m - 1) // 2 + 1)
+        )
+        remainder = malliavin.r_term(pair)
+        scale = m * m * (var_f * var_g + cov * cov) + corrections + remainder
+        self.check(res, scale, cancelling)
 
 
 class TestCheckers:
@@ -237,7 +301,7 @@ class TestSuite:
         results = run_suite(seeds=[0])
         digest = hashlib.sha256(json.dumps([vars(r) for r in results]).encode()).hexdigest()
         assert len(results) == 250
-        assert digest == "b49912d74b1facee33ebfaf3758af8a8ea85dfe7f47876f5501f92e15f58b92e"
+        assert digest == "7ed64a281a68728f79a52f6500687556058ab790b2b7d2c9b8b5128416b4f692"
 
     def test_failed_flag(self):
         results = run_suite(seeds=[0], grid=[(2, 1, 1)])
